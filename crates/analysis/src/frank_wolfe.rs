@@ -74,10 +74,9 @@ impl Objective {
                 .map(|(l, x)| l.eval(*x) + x * l.derivative(*x))
                 .collect(),
         };
-        instance
-            .paths()
-            .iter()
-            .map(|p| p.edges().iter().map(|e| edge_grad[e.index()]).sum())
+        let rows = instance.path_edge_rows();
+        (0..instance.num_paths())
+            .map(|p| rows.row(p).iter().map(|e| edge_grad[e.index()]).sum())
             .collect()
     }
 }

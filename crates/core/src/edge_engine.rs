@@ -126,6 +126,30 @@ pub enum PathSeeding {
     Explicit(Vec<Vec<Path>>),
 }
 
+impl PathSeeding {
+    /// Explicit seeding with every path of `instance`, per commodity
+    /// in arena order, decoded from its CSR rows: the seeding under
+    /// which the backend is bit-identical to the enumerated engine on
+    /// `instance`.
+    pub fn full(instance: &Instance) -> Self {
+        let graph = instance.graph();
+        let rows = instance.path_edge_rows();
+        PathSeeding::Explicit(
+            (0..instance.num_commodities())
+                .map(|i| {
+                    instance
+                        .commodity_paths(i)
+                        .map(|p| {
+                            Path::new(graph, rows.row(p).to_vec())
+                                .expect("instance rows are simple paths")
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+}
+
 impl Default for PathSeeding {
     fn default() -> Self {
         PathSeeding::Oracle {
@@ -541,17 +565,6 @@ mod tests {
     use wardrop_net::builders;
     use wardrop_net::scenario::Event;
 
-    /// The full enumerated path set of an instance, split per
-    /// commodity — the explicit seeding that makes the backends
-    /// bit-identical.
-    fn full_seed(inst: &Instance) -> PathSeeding {
-        PathSeeding::Explicit(
-            (0..inst.num_commodities())
-                .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-                .collect(),
-        )
-    }
-
     #[test]
     fn full_seed_matches_enumerated_engine_bitwise() {
         let inst = builders::grid_network(4, 4, 23);
@@ -559,7 +572,7 @@ mod tests {
         let policy = uniform_linear(&inst);
         let config = SimulationConfig::new(0.4, 12).with_flows();
         let reference = run(&inst, &policy, &FlowVec::uniform(&inst), &config);
-        let traj = run_edge(&edge, &policy, &config, &full_seed(&inst)).unwrap();
+        let traj = run_edge(&edge, &policy, &config, &PathSeeding::full(&inst)).unwrap();
         assert_eq!(traj.phases, reference.phases);
         assert_eq!(traj.flows, reference.flows);
         assert_eq!(traj.final_flow, reference.final_flow);
@@ -632,7 +645,11 @@ mod tests {
         let edge = EdgeInstance::from_instance(&inst).unwrap();
         let policy = uniform_linear(&inst);
         let config = SimulationConfig::new(0.2, 3);
-        let doubled = PathSeeding::Explicit(vec![[inst.paths(), inst.paths()].concat()]);
+        let PathSeeding::Explicit(mut lists) = PathSeeding::full(&inst) else {
+            unreachable!("full seeding is explicit")
+        };
+        lists[0].extend_from_within(..);
+        let doubled = PathSeeding::Explicit(lists);
         let sim = EdgeSimulation::new(&edge, &policy, &config, &doubled).unwrap();
         assert_eq!(sim.active_path_count(), inst.num_paths());
     }
@@ -677,8 +694,14 @@ mod tests {
             &scenario,
         )
         .unwrap();
-        let traj =
-            run_edge_scenario(&edge, &policy, &config, &full_seed(&inst), &scenario).unwrap();
+        let traj = run_edge_scenario(
+            &edge,
+            &policy,
+            &config,
+            &PathSeeding::full(&inst),
+            &scenario,
+        )
+        .unwrap();
         assert_eq!(traj.phases, reference.phases);
         assert_eq!(traj.flows, reference.flows);
         assert_eq!(traj.final_flow, reference.final_flow);
@@ -733,9 +756,10 @@ mod tests {
         let f0 = FlowVec::uniform(&inst);
         let mut sim = Simulation::new(&inst, &policy, &f0, &config);
         let mut twin = Simulation::new(&inst, &policy, &f0, &config);
-        let mut implicit = EdgeSimulation::new(&edge, &policy, &config, &full_seed(&inst)).unwrap();
+        let mut implicit =
+            EdgeSimulation::new(&edge, &policy, &config, &PathSeeding::full(&inst)).unwrap();
         let mut implicit_twin =
-            EdgeSimulation::new(&edge, &policy, &config, &full_seed(&inst)).unwrap();
+            EdgeSimulation::new(&edge, &policy, &config, &PathSeeding::full(&inst)).unwrap();
         sim.step().unwrap();
         twin.step().unwrap();
         implicit.step().unwrap();
@@ -774,10 +798,9 @@ mod tests {
     /// The fresh build over `sim`'s active sets, from the (possibly
     /// event-mutated) path-free instance.
     fn fresh_restriction<D: Dynamics + ?Sized>(sim: &EdgeSimulation<'_, D>) -> Instance {
-        let grown = sim.restricted();
-        let lists: Vec<Vec<Path>> = (0..grown.num_commodities())
-            .map(|i| grown.paths()[grown.commodity_paths(i)].to_vec())
-            .collect();
+        let PathSeeding::Explicit(lists) = PathSeeding::full(sim.restricted()) else {
+            unreachable!("full seeding is explicit")
+        };
         let edge = sim.edge_instance();
         Instance::with_explicit_paths(
             edge.graph().clone(),
@@ -911,7 +934,13 @@ mod tests {
         assert_eq!(support.len(), 4);
         let seeding = PathSeeding::Explicit(vec![support
             .iter()
-            .map(|&p| inst.paths()[p].clone())
+            .map(|&p| {
+                Path::new(
+                    inst.graph(),
+                    inst.path_edges(PathId::from_index(p)).to_vec(),
+                )
+                .unwrap()
+            })
             .collect()]);
         let mut embedded = vec![0.0; inst.num_paths()];
         for &p in &support {

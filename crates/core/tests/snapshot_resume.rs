@@ -328,7 +328,7 @@ fn snapshot_header_is_pinned() {
     let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
     assert_eq!(
         std::str::from_utf8(&bytes[..newline]).unwrap(),
-        "WARDROP-SNAPSHOT v1 len=1946 fnv=d5baaf4a8c7be70e"
+        "WARDROP-SNAPSHOT v1 len=1886 fnv=9de9a3259ccccf7b"
     );
 }
 
@@ -341,14 +341,14 @@ fn instance_serialised_form_is_pinned() {
         (
             "multi_commodity_grid(3, 3, 5)",
             builders::multi_commodity_grid(3, 3, 5),
-            1839,
-            0x6efb_da40_a3c4_ea04,
+            1689,
+            0xaaf1_1f15_2b01_6a10,
         ),
         (
             "grid_network(4, 4, 8)",
             builders::grid_network(4, 4, 8),
-            4113,
-            0x94bc_97d6_2444_66ae,
+            3554,
+            0xa363_533d_dc40_f55d,
         ),
     ] {
         let json = serde_json::to_string(&instance).unwrap();

@@ -328,6 +328,10 @@ fn steady_state_phase_loop_is_allocation_free() {
     // instance's path arena instead of copying it.
     construction_allocates_per_buffer_not_per_path();
 
+    // Building the instance itself: paths are enumerated straight into
+    // the CSR incidence, with no vector per path.
+    instance_build_allocates_per_buffer_not_per_path();
+
     // The default configuration records δ-columns: exactly the two
     // `collect()`s of each `PhaseRecord` allocate, on both backends.
     default_config_allocates_only_the_record();
@@ -369,11 +373,7 @@ fn default_config_allocates_only_the_record() {
     );
 
     let edge = wardrop_net::edge_flow::EdgeInstance::from_instance(&grid).unwrap();
-    let seeding = PathSeeding::Explicit(
-        (0..grid.num_commodities())
-            .map(|i| grid.paths()[grid.commodity_paths(i)].to_vec())
-            .collect(),
-    );
+    let seeding = PathSeeding::full(&grid);
     let mut sim = EdgeSimulation::new(&edge, &policy, &config, &seeding).unwrap();
     for _ in 0..3 {
         assert!(
@@ -545,11 +545,7 @@ fn edge_backend_steady_state_is_allocation_free() {
     let edge = wardrop_net::edge_flow::EdgeInstance::from_instance(&inst).unwrap();
     let policy = uniform_linear(&inst);
     let config = SimulationConfig::new(0.2, 400).with_deltas(vec![]);
-    let seeding = PathSeeding::Explicit(
-        (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-            .collect(),
-    );
+    let seeding = PathSeeding::full(&inst);
     let mut sim = EdgeSimulation::new(&edge, &policy, &config, &seeding).unwrap();
     for _ in 0..3 {
         assert!(sim.step().is_some(), "edge warm-up ran out of phases");
@@ -707,11 +703,7 @@ fn edge_backend_tie_fallback_is_allocation_free() {
     );
     let policy = uniform_linear(&inst);
     let config = SimulationConfig::new(0.2, 400).with_deltas(vec![]);
-    let seeding = PathSeeding::Explicit(
-        (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-            .collect(),
-    );
+    let seeding = PathSeeding::full(&inst);
     let mut sim = EdgeSimulation::new(&edge, &policy, &config, &seeding).unwrap();
     for _ in 0..3 {
         assert!(sim.step().is_some(), "tie warm-up ran out of phases");
@@ -791,6 +783,27 @@ fn construction_allocates_per_buffer_not_per_path() {
             small[i], large[i],
             "{stage}: {} allocations on grid_6x6, {} on grid_8x8",
             small[i], large[i]
+        );
+    }
+}
+
+/// Building an instance allocates per buffer, never per path: paths
+/// are enumerated straight into the CSR incidence, so grid_6x6 (252
+/// paths) and grid_8x8 (3,432 paths) both build in fewer allocations
+/// than the smaller grid has paths. The count still grows a little
+/// with the grid: the graph's per-node adjacency lists, and the
+/// amortised doubling of the incidence buffers, logarithmic in the
+/// number of paths.
+fn instance_build_allocates_per_buffer_not_per_path() {
+    const BOUND: usize = 240;
+    for (n, paths) in [(6, 252), (8, 3_432)] {
+        let allocations = min_allocations_over_attempts(|| {
+            let grid = builders::grid_network(n, n, 7);
+            assert_eq!(grid.num_paths(), paths);
+        });
+        assert!(
+            allocations < BOUND,
+            "grid_{n}x{n} ({paths} paths): {allocations} allocations to build"
         );
     }
 }

@@ -409,10 +409,9 @@ mod tests {
         // and one (the zig-zag) of length 3.
         let total: f64 = fe.iter().sum();
         let expected: f64 = inst
-            .paths()
-            .iter()
+            .path_ids()
             .zip(f.values())
-            .map(|(p, v)| v * p.len() as f64)
+            .map(|(p, v)| v * inst.path_edges(p).len() as f64)
             .sum();
         assert!((total - expected).abs() < 1e-12);
     }

@@ -1,8 +1,10 @@
 //! Validated Wardrop instances.
 //!
 //! An [`Instance`] bundles a graph, per-edge latency functions and
-//! commodities, together with the explicit path arena used by the path
-//! formulation of the model. Construction validates every standing
+//! commodities, together with the path arena used by the path
+//! formulation of the model. The arena is a flat path→edge CSR
+//! incidence (with its transpose); no per-path vector is kept.
+//! Construction validates every standing
 //! assumption of the paper and precomputes the constants that appear in
 //! its theorems:
 //!
@@ -19,7 +21,7 @@ use crate::commodity::Commodity;
 use crate::error::NetError;
 use crate::graph::{EdgeId, Graph};
 use crate::latency::Latency;
-use crate::path::{enumerate_simple_paths, Path, PathId};
+use crate::path::{check_edge_sequence, enumerate_simple_paths, row_end, Path, PathId};
 
 /// Default cap on simple paths per commodity during enumeration.
 pub const DEFAULT_PATH_CAP: usize = 100_000;
@@ -167,10 +169,18 @@ impl<'a, T> CsrRows<'a, T> {
 
 /// A validated instance of the Wardrop routing game.
 ///
+/// # Path arena
+///
+/// The path→edge CSR incidence is the only store of the paths: path
+/// `p`'s edges are row `p` of it ([`Instance::path_edges`],
+/// [`Instance::path_edge_rows`]). No per-path vector is kept; a
+/// [`Path`] is only the validated input of
+/// [`Instance::with_explicit_paths`] and [`Instance::push_path`].
+///
 /// # Clone cost
 ///
-/// The graph and the path structure (the paths, both CSR incidences
-/// and the path→commodity map) sit behind `Arc`s that clones share,
+/// The graph and the path structure (both CSR incidences and the
+/// path→commodity map) sit behind `Arc`s that clones share,
 /// copy-on-write. A clone copies only what is owned per instance: the
 /// latency functions, the commodities, the per-commodity path ranges
 /// and the per-path at-capacity sums, one buffer each. It never
@@ -200,16 +210,14 @@ pub struct Instance {
     graph: Arc<Graph>,
     latencies: Vec<Latency>,
     commodities: Vec<Commodity>,
-    /// All paths of all commodities, commodity-contiguous.
-    paths: Arc<Vec<Path>>,
     /// Half-open path-index ranges per commodity: commodity `i` owns
-    /// `paths[path_ranges[i] .. path_ranges[i + 1]]`.
+    /// paths `path_ranges[i] .. path_ranges[i + 1]` (paths are
+    /// commodity-contiguous).
     path_ranges: Vec<usize>,
-    /// CSR path→edge incidence: path `p` uses
+    /// CSR path→edge incidence, the path arena: path `p` uses
     /// `path_edge_ids[path_edge_offsets[p] .. path_edge_offsets[p+1]]`,
-    /// in path order. Flat and cache-friendly — the hot loops of
-    /// [`crate::eval::EvalWorkspace`] traverse this instead of the
-    /// pointer-chasing `paths[p].edges()`.
+    /// in path order. Flat and cache-friendly; the hot loops of
+    /// [`crate::eval::EvalWorkspace`] traverse it row by row.
     path_edge_offsets: Arc<Vec<u32>>,
     /// Flat edge ids of the CSR path→edge incidence.
     path_edge_ids: Arc<Vec<EdgeId>>,
@@ -264,31 +272,39 @@ impl Instance {
     ) -> Result<Self, NetError> {
         Self::validate_base(&graph, &latencies, &commodities)?;
 
-        let mut paths = Vec::new();
+        let (mut offsets, mut ids) = (vec![0u32], Vec::new());
         let mut path_ranges = vec![0usize];
         for (i, c) in commodities.iter().enumerate() {
-            let mut ps = enumerate_simple_paths(&graph, c.source, c.sink, path_cap).map_err(
-                |e| match e {
-                    NetError::TooManyPaths { cap, .. } => {
-                        NetError::TooManyPaths { commodity: i, cap }
-                    }
-                    other => other,
-                },
-            )?;
-            if ps.is_empty() {
+            let found =
+                enumerate_simple_paths(&graph, c.source, c.sink, path_cap, &mut offsets, &mut ids)
+                    .map_err(|e| match e {
+                        NetError::TooManyPaths { cap, .. } => {
+                            NetError::TooManyPaths { commodity: i, cap }
+                        }
+                        other => other,
+                    })?;
+            if found == 0 {
                 return Err(NetError::NoPath { commodity: i });
             }
-            paths.append(&mut ps);
-            path_ranges.push(paths.len());
+            path_ranges.push(offsets.len() - 1);
         }
-        Self::assemble(graph, latencies, commodities, paths, path_ranges)
+        Ok(Self::assemble(
+            graph,
+            latencies,
+            commodities,
+            offsets,
+            ids,
+            path_ranges,
+        ))
     }
 
     /// Builds a validated instance over an **explicitly given** path set
     /// instead of enumerating all simple paths.
     ///
-    /// `commodity_paths[i]` becomes the path arena of commodity `i`, in
-    /// the given order. This is the column-generation entry point of the
+    /// `commodity_paths[i]` becomes the path set of commodity `i`, in
+    /// the given order: the paths' edges are copied into the CSR
+    /// incidence, and the `Path`s themselves are not kept. This is the
+    /// column-generation entry point of the
     /// implicit-path backend (`wardrop_core::edge_engine`): on networks
     /// whose full path set is astronomically large, the engine keeps a
     /// small *active* set discovered by shortest-path / random-path
@@ -307,8 +323,9 @@ impl Instance {
     /// The base validations of [`Instance::with_path_cap`] apply, plus:
     ///
     /// * [`NetError::Inconsistent`] if `commodity_paths.len()` differs
-    ///   from the commodity count, a path references an edge outside the
-    ///   graph, or a path's endpoints do not match its commodity;
+    ///   from the commodity count, a path is not a simple path of the
+    ///   graph, a path's endpoints do not match its commodity, or the
+    ///   incidence would leave the `u32` range;
     /// * [`NetError::NoPath`] if a commodity's path list is empty.
     pub fn with_explicit_paths(
         graph: Graph,
@@ -324,30 +341,43 @@ impl Instance {
                 commodities.len()
             )));
         }
-        let mut paths = Vec::with_capacity(commodity_paths.iter().map(Vec::len).sum());
+        let mut offsets =
+            Vec::with_capacity(commodity_paths.iter().map(Vec::len).sum::<usize>() + 1);
+        offsets.push(0u32);
+        let mut ids = Vec::with_capacity(commodity_paths.iter().flatten().map(Path::len).sum());
         let mut path_ranges = vec![0usize];
         for (i, (c, ps)) in commodities.iter().zip(commodity_paths).enumerate() {
             if ps.is_empty() {
                 return Err(NetError::NoPath { commodity: i });
             }
             for p in ps {
-                Self::check_path(&graph, i, c, p)?;
+                Self::check_path(&graph, i, c, p.edges())?;
+                ids.extend_from_slice(p.edges());
+                offsets.push(row_end(&ids)?);
             }
-            paths.extend(ps.iter().cloned());
-            path_ranges.push(paths.len());
+            path_ranges.push(offsets.len() - 1);
         }
-        Self::assemble(graph, latencies, commodities, paths, path_ranges)
+        Ok(Self::assemble(
+            graph,
+            latencies,
+            commodities,
+            offsets,
+            ids,
+            path_ranges,
+        ))
     }
 
-    /// Checks that `p` lies in `graph` and runs between commodity `i`'s
-    /// endpoints `c`.
-    fn check_path(graph: &Graph, i: usize, c: &Commodity, p: &Path) -> Result<(), NetError> {
-        if !p.edges().iter().all(|e| graph.contains_edge(*e)) {
-            return Err(NetError::Inconsistent(format!(
-                "commodity {i} has a path using an edge outside the graph"
-            )));
-        }
-        if p.source(graph) != c.source || p.sink(graph) != c.sink {
+    /// Checks that `edges` is a simple path of `graph` (the one check
+    /// [`Path::new`] runs) from commodity `i`'s source to its sink.
+    fn check_path(
+        graph: &Graph,
+        i: usize,
+        c: &Commodity,
+        edges: &[EdgeId],
+    ) -> Result<(), NetError> {
+        check_edge_sequence(graph, edges)?;
+        let (first, last) = (edges[0], edges[edges.len() - 1]);
+        if graph.edge(first).from != c.source || graph.edge(last).to != c.sink {
             return Err(NetError::Inconsistent(format!(
                 "commodity {i} has a path whose endpoints do not match its source/sink"
             )));
@@ -388,30 +418,24 @@ impl Instance {
         Ok(())
     }
 
-    /// Assembles the CSR incidences and cached constants over an
-    /// already-validated path arena (commodity-contiguous `paths` with
-    /// half-open `path_ranges`). Shared by the enumerating and the
+    /// Assembles the transposed incidence and the cached constants over
+    /// an already-validated path→edge CSR (commodity-contiguous rows
+    /// with half-open `path_ranges`). Shared by the enumerating and the
     /// explicit-path constructors so both produce bit-identical
     /// instances for the same path set.
     fn assemble(
         graph: Graph,
         latencies: Vec<Latency>,
         commodities: Vec<Commodity>,
-        paths: Vec<Path>,
+        path_edge_offsets: Vec<u32>,
+        path_edge_ids: Vec<EdgeId>,
         path_ranges: Vec<usize>,
-    ) -> Result<Self, NetError> {
-        // Flat CSR incidences, built once so per-phase evaluation never
-        // walks the per-path edge vectors.
-        let mut path_edge_offsets = Vec::with_capacity(paths.len() + 1);
-        path_edge_offsets.push(0u32);
-        let mut path_edge_ids = Vec::with_capacity(paths.iter().map(Path::len).sum());
-        for p in &paths {
-            path_edge_ids.extend_from_slice(p.edges());
-            let off = u32::try_from(path_edge_ids.len()).map_err(|_| {
-                NetError::Inconsistent("path-edge incidence exceeds u32 range".into())
-            })?;
-            path_edge_offsets.push(off);
-        }
+    ) -> Self {
+        let rows = CsrRows {
+            offsets: &path_edge_offsets,
+            ids: &path_edge_ids,
+        };
+        let num_paths = path_edge_offsets.len() - 1;
         let num_edges = graph.edge_count();
         let mut edge_degree = vec![0u32; num_edges];
         for e in &path_edge_ids {
@@ -426,36 +450,34 @@ impl Instance {
         }
         let mut edge_path_ids = vec![PathId(0); path_edge_ids.len()];
         let mut cursor: Vec<u32> = edge_path_offsets[..num_edges].to_vec();
-        for (idx, p) in paths.iter().enumerate() {
-            for e in p.edges() {
+        for p in 0..num_paths {
+            for e in rows.row(p) {
                 let slot = cursor[e.index()];
-                edge_path_ids[slot as usize] = PathId(idx as u32);
+                edge_path_ids[slot as usize] = PathId(p as u32);
                 cursor[e.index()] = slot + 1;
             }
         }
-        let mut path_commodity = vec![0u32; paths.len()];
+        let mut path_commodity = vec![0u32; num_paths];
         for i in 0..commodities.len() {
             for slot in &mut path_commodity[path_ranges[i]..path_ranges[i + 1]] {
                 *slot = i as u32;
             }
         }
 
-        let max_path_len = paths.iter().map(Path::len).max().unwrap_or(0);
+        let max_path_len = (0..num_paths).map(|p| rows.row(p).len()).max().unwrap_or(0);
         let slope_bound = latencies
             .iter()
             .map(Latency::slope_bound)
             .fold(0.0, f64::max);
-        let path_cap_latencies: Vec<f64> = paths
-            .iter()
-            .map(|p| cap_latency(&latencies, p.edges()))
+        let path_cap_latencies: Vec<f64> = (0..num_paths)
+            .map(|p| cap_latency(&latencies, rows.row(p)))
             .collect();
         let latency_upper_bound = path_cap_latencies.iter().copied().fold(0.0_f64, f64::max);
 
-        Ok(Instance {
+        Instance {
             graph: Arc::new(graph),
             latencies,
             commodities,
-            paths: Arc::new(paths),
             path_ranges,
             path_edge_offsets: Arc::new(path_edge_offsets),
             path_edge_ids: Arc::new(path_edge_ids),
@@ -466,7 +488,7 @@ impl Instance {
             max_path_len,
             slope_bound,
             latency_upper_bound,
-        })
+        }
     }
 
     /// The underlying graph.
@@ -506,7 +528,7 @@ impl Instance {
     /// Total number of paths `|P|` across all commodities.
     #[inline]
     pub fn num_paths(&self) -> usize {
-        self.paths.len()
+        self.path_edge_offsets.len() - 1
     }
 
     /// Number of edges `|E|`.
@@ -515,25 +537,9 @@ impl Instance {
         self.graph.edge_count()
     }
 
-    /// The path with id `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[inline]
-    pub fn path(&self, p: PathId) -> &Path {
-        &self.paths[p.index()]
-    }
-
-    /// All paths, commodity-contiguous.
-    #[inline]
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
     /// Iterates over all path ids.
     pub fn path_ids(&self) -> impl ExactSizeIterator<Item = PathId> + '_ {
-        (0..self.paths.len()).map(PathId::from_index)
+        (0..self.num_paths()).map(PathId::from_index)
     }
 
     /// Path-index range `[start, end)` of commodity `i`.
@@ -570,11 +576,10 @@ impl Instance {
         self.path_commodity[p.index()] as usize
     }
 
-    /// The edges of path `p` from the flat CSR incidence, in path
-    /// order.
+    /// The edges of path `p`, in path order: row `p` of the path→edge
+    /// CSR incidence, the only store of the paths.
     ///
-    /// Equivalent to `self.path(p).edges()` but reads one contiguous
-    /// arena. A loop over many paths should read rows from
+    /// A loop over many paths should read rows from
     /// [`Instance::path_edge_rows`] instead, taken once before it.
     ///
     /// # Panics
@@ -623,7 +628,6 @@ impl Instance {
     #[cfg(test)]
     pub(crate) fn shares_paths_with(&self, other: &Instance) -> bool {
         Arc::ptr_eq(&self.graph, &other.graph)
-            && Arc::ptr_eq(&self.paths, &other.paths)
             && Arc::ptr_eq(&self.path_edge_offsets, &other.path_edge_offsets)
             && Arc::ptr_eq(&self.path_edge_ids, &other.path_edge_ids)
             && Arc::ptr_eq(&self.edge_path_offsets, &other.edge_path_offsets)
@@ -662,11 +666,13 @@ impl Instance {
     /// checkpoint could otherwise smuggle in inconsistent CSR arenas
     /// or cached constants.
     ///
-    /// The base data is re-validated exactly as at construction, the
-    /// derived integer structure (path ranges, CSR incidences, the
-    /// path→commodity map, `D`) is rebuilt from the path arena and
-    /// compared **exactly**, and the cached float bounds (`β`, `ℓmax`,
-    /// per-path at-capacity sums) are compared with a relative
+    /// The base data is re-validated exactly as at construction. Every
+    /// decoded path→edge row must be a simple path of the graph
+    /// between its commodity's endpoints (the checks of [`Path::new`]),
+    /// the derived integer structure (path ranges, the transposed
+    /// incidence, the path→commodity map, `D`) is rebuilt from those
+    /// rows and compared **exactly**, and the cached float bounds (`β`,
+    /// `ℓmax`, per-path at-capacity sums) are compared with a relative
     /// tolerance. The serialized values stay authoritative — this
     /// check only rejects corruption, it never rewrites state (which
     /// would break bit-identical restores).
@@ -678,33 +684,43 @@ impl Instance {
     /// invariant.
     pub fn check_consistent(&self) -> Result<(), NetError> {
         Self::validate_base(&self.graph, &self.latencies, &self.commodities)?;
+        let offsets = self.path_edge_offsets.as_slice();
+        if offsets.first() != Some(&0)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets.last().map(|&o| o as usize) != Some(self.path_edge_ids.len())
+        {
+            return Err(NetError::Inconsistent(
+                "path-edge offsets do not delimit the incidence".into(),
+            ));
+        }
         if self.path_ranges.len() != self.commodities.len() + 1
             || self.path_ranges.first() != Some(&0)
-            || self.path_ranges.last() != Some(&self.paths.len())
+            || self.path_ranges.windows(2).any(|w| w[0] > w[1])
+            || self.path_ranges.last() != Some(&self.num_paths())
         {
             return Err(NetError::Inconsistent(
                 "path ranges do not cover the path arena".into(),
             ));
         }
+        let rows = self.path_edge_rows();
         for (i, c) in self.commodities.iter().enumerate() {
             let (lo, hi) = (self.path_ranges[i], self.path_ranges[i + 1]);
             if lo >= hi {
                 return Err(NetError::NoPath { commodity: i });
             }
-            for p in &self.paths[lo..hi] {
-                Self::check_path(&self.graph, i, c, p)?;
+            for p in lo..hi {
+                Self::check_path(&self.graph, i, c, rows.row(p))?;
             }
         }
         let rebuilt = Self::assemble(
             Graph::clone(&self.graph),
             self.latencies.clone(),
             self.commodities.clone(),
-            self.paths.to_vec(),
+            offsets.to_vec(),
+            self.path_edge_ids.to_vec(),
             self.path_ranges.clone(),
-        )?;
-        if rebuilt.path_edge_offsets != self.path_edge_offsets
-            || rebuilt.path_edge_ids != self.path_edge_ids
-            || rebuilt.edge_path_offsets != self.edge_path_offsets
+        );
+        if rebuilt.edge_path_offsets != self.edge_path_offsets
             || rebuilt.edge_path_ids != self.edge_path_ids
             || rebuilt.path_commodity != self.path_commodity
             || rebuilt.max_path_len != self.max_path_len
@@ -739,7 +755,9 @@ impl Instance {
     /// incidences, the path→commodity map, the per-path at-capacity
     /// sums, `D` and `ℓmax` are updated in their own buffers, which grow
     /// by amortised doubling, so the cost is `O(nnz + |E| + |P|)` element
-    /// moves and, amortised, `O(1)` allocations. If the arena is shared
+    /// moves and, amortised, `O(1)` allocations. Only the path's edges
+    /// are kept, as a new CSR row; the `Path` itself is dropped. If the
+    /// arena is shared
     /// with a clone, it is copied first (once: the copy is then owned)
     /// and the clone is left unchanged. The result equals, field for
     /// field, what [`Instance::with_explicit_paths`] builds over the
@@ -748,8 +766,8 @@ impl Instance {
     /// # Errors
     ///
     /// [`NetError::InvalidCommodity`] if `i` is out of range, and
-    /// [`NetError::Inconsistent`] if the path uses an edge outside the
-    /// graph, its endpoints do not match the commodity, or the
+    /// [`NetError::Inconsistent`] if the path is not a simple path of
+    /// the graph, its endpoints do not match the commodity, or the
     /// incidence count would leave the `u32` range. The instance is
     /// unchanged on error.
     pub fn push_path(&mut self, i: usize, path: Path) -> Result<PathId, NetError> {
@@ -759,7 +777,7 @@ impl Instance {
                 "commodity {i} out of range for {k} commodities"
             )));
         }
-        Self::check_path(&self.graph, i, &self.commodities[i], &path)?;
+        Self::check_path(&self.graph, i, &self.commodities[i], path.edges())?;
         let len = path.len();
         if u32::try_from(self.path_edge_ids.len() + len).is_err() {
             return Err(NetError::Inconsistent(
@@ -767,8 +785,9 @@ impl Instance {
             ));
         }
         let at = self.path_ranges[i + 1];
+        let shifts = at < self.num_paths();
         let edge_path_ids = Arc::make_mut(&mut self.edge_path_ids);
-        if at < self.paths.len() {
+        if shifts {
             for p in edge_path_ids.iter_mut() {
                 if p.index() >= at {
                     p.0 += 1;
@@ -797,7 +816,6 @@ impl Instance {
         self.path_cap_latencies.insert(at, cap);
         self.latency_upper_bound = self.latency_upper_bound.max(cap);
         self.max_path_len = self.max_path_len.max(len);
-        Arc::make_mut(&mut self.paths).insert(at, path);
         Ok(PathId::from_index(at))
     }
 
@@ -842,7 +860,7 @@ impl Instance {
     /// Replaces the latency function of edge `e`, incrementally
     /// refreshing the cached invariants.
     ///
-    /// The graph, paths and CSR incidences are untouched (latency
+    /// The graph and the CSR incidences are untouched (latency
     /// changes never alter the path sets) and stay shared with any
     /// clone, so the update costs
     /// `O(Σ_{P ∋ e} |P|)`: the per-path at-capacity sums of the paths
@@ -1109,23 +1127,40 @@ mod tests {
         let _ = NodeId::from_index(0);
     }
 
+    /// Path `p` of `inst`, decoded from its CSR row.
+    fn path_of(inst: &Instance, p: usize) -> Path {
+        Path::new(
+            inst.graph(),
+            inst.path_edges(PathId::from_index(p)).to_vec(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn csr_incidence_matches_paths() {
         let inst = crate::builders::braess();
-        let mut nnz = 0;
-        for (idx, p) in inst.paths().iter().enumerate() {
-            let pid = PathId::from_index(idx);
-            assert_eq!(inst.path_edges(pid), p.edges());
-            nnz += p.len();
+        // s→a→t, s→a→b→t, s→b→t in depth-first order.
+        let expected: [&[usize]; 3] = [&[0, 2], &[0, 4, 3], &[1, 3]];
+        for (idx, edges) in expected.iter().enumerate() {
+            let row: Vec<usize> = inst
+                .path_edges(PathId::from_index(idx))
+                .iter()
+                .map(|e| e.index())
+                .collect();
+            assert_eq!(row, *edges, "path {idx}");
         }
-        assert_eq!(inst.incidence_count(), nnz);
+        assert_eq!(inst.num_paths(), 3);
+        assert_eq!(inst.incidence_count(), 7);
         // Transposed map: e ∈ path_edges(p) ⇔ p ∈ edge_paths(e).
         for e in 0..inst.num_edges() {
             let eid = crate::graph::EdgeId::from_index(e);
             let users = inst.edge_paths(eid);
-            for (idx, p) in inst.paths().iter().enumerate() {
-                let pid = PathId::from_index(idx);
-                assert_eq!(p.contains(eid), users.contains(&pid), "edge {e} path {idx}");
+            for pid in inst.path_ids() {
+                assert_eq!(
+                    inst.path_edges(pid).contains(&eid),
+                    users.contains(&pid),
+                    "edge {e} path {pid}"
+                );
             }
             // Ascending path order within each edge row.
             assert!(users.windows(2).all(|w| w[0] < w[1]));
@@ -1135,10 +1170,16 @@ mod tests {
     #[test]
     fn csr_incidence_on_multi_commodity_grid() {
         let inst = crate::builders::multi_commodity_grid(3, 3, 5);
-        let total: usize = inst.paths().iter().map(Path::len).sum();
+        let rows = inst.path_edge_rows();
+        let total: usize = (0..inst.num_paths()).map(|p| rows.row(p).len()).sum();
         assert_eq!(inst.incidence_count(), total);
-        for (idx, p) in inst.paths().iter().enumerate() {
-            assert_eq!(inst.path_edges(PathId::from_index(idx)), p.edges());
+        for i in 0..inst.num_commodities() {
+            let c = inst.commodities()[i];
+            for p in inst.commodity_paths(i) {
+                let path = path_of(&inst, p);
+                assert_eq!(path.source(inst.graph()), c.source);
+                assert_eq!(path.sink(inst.graph()), c.sink);
+            }
         }
     }
 
@@ -1341,17 +1382,8 @@ mod tests {
         // constructor must yield a bit-identical instance — the
         // invariant the differential backend tests rely on.
         let inst = crate::builders::multi_commodity_grid(3, 3, 9);
-        let per_commodity: Vec<Vec<Path>> = (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-            .collect();
-        let rebuilt = Instance::with_explicit_paths(
-            inst.graph().clone(),
-            inst.latencies().to_vec(),
-            inst.commodities().to_vec(),
-            &per_commodity,
-        )
-        .unwrap();
-        assert_eq!(rebuilt.paths(), inst.paths());
+        let rebuilt = explicit(&inst, &path_lists(&inst));
+        assert_eq!(rebuilt, inst);
         assert_eq!(rebuilt.incidence_count(), inst.incidence_count());
         assert_eq!(rebuilt.max_path_len(), inst.max_path_len());
         assert_eq!(
@@ -1377,16 +1409,12 @@ mod tests {
         let inst = crate::builders::braess();
         // Keep only the first two of the three Braess paths; demands
         // and validation must still hold on the restriction.
-        let subset = vec![inst.paths()[..2].to_vec()];
-        let restricted = Instance::with_explicit_paths(
-            inst.graph().clone(),
-            inst.latencies().to_vec(),
-            inst.commodities().to_vec(),
-            &subset,
-        )
-        .unwrap();
+        let subset = vec![vec![path_of(&inst, 0), path_of(&inst, 1)]];
+        let restricted = explicit(&inst, &subset);
         assert_eq!(restricted.num_paths(), 2);
-        assert_eq!(restricted.paths(), &inst.paths()[..2]);
+        for p in restricted.path_ids() {
+            assert_eq!(restricted.path_edges(p), inst.path_edges(p));
+        }
     }
 
     #[test]
@@ -1415,7 +1443,7 @@ mod tests {
         assert_eq!(err, NetError::NoPath { commodity: 0 });
         // A path with the wrong endpoints is rejected: Braess paths all
         // run s→t, so a single-edge s→a path cannot serve commodity 0.
-        let first_edge = inst.paths()[0].edges()[0];
+        let first_edge = inst.path_edges(PathId::from_index(0))[0];
         let stub = Path::new(&graph, vec![first_edge]).unwrap();
         let err = Instance::with_explicit_paths(graph, latencies, commodities, &[vec![stub]])
             .unwrap_err();
@@ -1425,7 +1453,7 @@ mod tests {
     /// Per-commodity path lists of `inst`, in arena order.
     fn path_lists(inst: &Instance) -> Vec<Vec<Path>> {
         (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
+            .map(|i| inst.commodity_paths(i).map(|p| path_of(inst, p)).collect())
             .collect()
     }
 
@@ -1477,7 +1505,7 @@ mod tests {
         let inst = crate::builders::multi_commodity_grid(3, 3, 5);
         let clone = inst.clone();
         assert!(clone.shares_paths_with(&inst));
-        assert!(Arc::ptr_eq(&clone.paths, &inst.paths));
+        assert!(Arc::ptr_eq(&clone.path_edge_ids, &inst.path_edge_ids));
         assert!(Arc::ptr_eq(&clone.edge_path_ids, &inst.edge_path_ids));
         assert_eq!(Arc::strong_count(&inst.path_edge_ids), 2);
         // The per-instance state is owned, not shared.
@@ -1524,7 +1552,7 @@ mod tests {
         lists[0].push(all[0][1].clone());
         assert!(!grown.shares_paths_with(&original));
         assert_eq!(original, before);
-        assert_eq!(Arc::strong_count(&original.paths), 1);
+        assert_eq!(Arc::strong_count(&original.path_edge_ids), 1);
         assert_eq!(grown, explicit(&full, &lists));
 
         // Later pushes grow the now uniquely owned copy in place.
@@ -1546,18 +1574,54 @@ mod tests {
     #[test]
     fn push_path_rejects_bad_columns_untouched() {
         let inst = crate::builders::braess();
-        let mut grown = explicit(&inst, &[inst.paths()[..1].to_vec()]);
+        let mut grown = explicit(&inst, &[vec![path_of(&inst, 0)]]);
         let before = grown.clone();
-        let stub = Path::new(inst.graph(), vec![inst.paths()[0].edges()[0]]).unwrap();
+        let stub = Path::new(
+            inst.graph(),
+            vec![inst.path_edges(PathId::from_index(0))[0]],
+        )
+        .unwrap();
         assert!(matches!(
             grown.push_path(0, stub),
             Err(NetError::Inconsistent(_))
         ));
         assert!(matches!(
-            grown.push_path(1, inst.paths()[1].clone()),
+            grown.push_path(1, path_of(&inst, 1)),
             Err(NetError::InvalidCommodity(_))
         ));
         assert_eq!(grown, before);
+    }
+
+    #[test]
+    fn check_consistent_rejects_malformed_rows_without_panicking() {
+        let inst = crate::builders::braess();
+        assert!(inst.check_consistent().is_ok());
+        let mut bad = inst.clone();
+        // Offsets that run backwards.
+        bad.path_edge_offsets = Arc::new(vec![0, 5, 2, 7]);
+        assert!(matches!(
+            bad.check_consistent(),
+            Err(NetError::Inconsistent(_))
+        ));
+        // An edge outside the graph.
+        let mut bad = inst.clone();
+        bad.path_edge_ids = Arc::new(
+            [0, 2, 0, 4, 3, 1, 9]
+                .into_iter()
+                .map(EdgeId::from_index)
+                .collect(),
+        );
+        assert!(matches!(
+            bad.check_consistent(),
+            Err(NetError::Inconsistent(_))
+        ));
+        // Ranges that point past the arena.
+        let mut bad = inst.clone();
+        bad.path_ranges = vec![0, 4];
+        assert!(matches!(
+            bad.check_consistent(),
+            Err(NetError::Inconsistent(_))
+        ));
     }
 
     #[test]

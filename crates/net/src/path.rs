@@ -5,7 +5,11 @@
 //! source–sink paths, and the population state is a flow vector indexed
 //! by paths. We therefore enumerate `P_i` explicitly (with a safety cap,
 //! since the number of simple paths can be exponential) and store all
-//! paths of all commodities in one arena indexed by [`PathId`].
+//! paths of all commodities in one arena indexed by [`PathId`]: the
+//! flat path→edge CSR incidence of an [`crate::Instance`], into which
+//! [`enumerate_simple_paths`] writes each path as it finds it. A
+//! [`Path`] is the validated input form of a single path (an explicit
+//! seed or a discovered column); instances never store one.
 
 use std::fmt;
 
@@ -50,27 +54,10 @@ impl Path {
     /// # Errors
     ///
     /// Returns [`NetError::Inconsistent`] if the edge sequence is empty,
-    /// not consecutive in `graph`, or visits a node twice.
+    /// uses an edge outside `graph`, is not consecutive in `graph`, or
+    /// visits a node twice.
     pub fn new(graph: &Graph, edges: Vec<EdgeId>) -> Result<Self, NetError> {
-        if edges.is_empty() {
-            return Err(NetError::Inconsistent("path must be non-empty".into()));
-        }
-        for w in edges.windows(2) {
-            if graph.edge(w[0]).to != graph.edge(w[1]).from {
-                return Err(NetError::Inconsistent(
-                    "path edges are not consecutive".into(),
-                ));
-            }
-        }
-        // The visited nodes are the first tail and every earlier head;
-        // scanning them in place keeps validation allocation-free.
-        let origin = graph.edge(edges[0]).from;
-        for (j, &e) in edges.iter().enumerate() {
-            let head = graph.edge(e).to;
-            if head == origin || edges[..j].iter().any(|&f| graph.edge(f).to == head) {
-                return Err(NetError::Inconsistent("path revisits a node".into()));
-            }
-        }
+        check_edge_sequence(graph, &edges)?;
         Ok(Path { edges })
     }
 
@@ -112,23 +99,86 @@ impl Path {
     }
 }
 
-/// Enumerates all simple `source → sink` paths of `graph`.
+/// Checks that `edges` is a simple path of `graph`: non-empty, every
+/// edge inside the graph, consecutive, and visiting no node twice. The
+/// one check every path goes through, whether it arrives as a
+/// [`Path`] or as a decoded row of an instance's incidence.
 ///
-/// Paths are produced in depth-first order, following edge insertion
-/// order at each node, so enumeration is deterministic.
+/// # Errors
+///
+/// Returns [`NetError::Inconsistent`] naming the first violated
+/// condition.
+pub(crate) fn check_edge_sequence(graph: &Graph, edges: &[EdgeId]) -> Result<(), NetError> {
+    if edges.is_empty() {
+        return Err(NetError::Inconsistent("path must be non-empty".into()));
+    }
+    if let Some(e) = edges.iter().find(|e| !graph.contains_edge(**e)) {
+        return Err(NetError::Inconsistent(format!(
+            "path edge {} is outside the graph",
+            e.index()
+        )));
+    }
+    for w in edges.windows(2) {
+        if graph.edge(w[0]).to != graph.edge(w[1]).from {
+            return Err(NetError::Inconsistent(
+                "path edges are not consecutive".into(),
+            ));
+        }
+    }
+    // The visited nodes are the first tail and every earlier head;
+    // scanning them in place keeps validation allocation-free.
+    let origin = graph.edge(edges[0]).from;
+    for (j, &e) in edges.iter().enumerate() {
+        let head = graph.edge(e).to;
+        if head == origin || edges[..j].iter().any(|&f| graph.edge(f).to == head) {
+            return Err(NetError::Inconsistent("path revisits a node".into()));
+        }
+    }
+    Ok(())
+}
+
+/// The offset that ends a CSR row whose last edge is `ids`' last entry.
+///
+/// # Errors
+///
+/// Returns [`NetError::Inconsistent`] if it leaves the `u32` range.
+pub(crate) fn row_end(ids: &[EdgeId]) -> Result<u32, NetError> {
+    u32::try_from(ids.len())
+        .map_err(|_| NetError::Inconsistent("path-edge incidence exceeds u32 range".into()))
+}
+
+/// Enumerates all simple `source → sink` paths of `graph` straight into
+/// a CSR path→edge incidence: each path found appends its edges to
+/// `ids` and its end offset to `offsets`. No vector is allocated per
+/// path.
+///
+/// `offsets` must hold the row ends of what `ids` already holds,
+/// starting with a `0` (so `offsets.last() == ids.len()`); the rows
+/// appended follow them. Paths are produced in depth-first order,
+/// following edge insertion order at each node, so enumeration is
+/// deterministic. Returns the number of paths appended.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::TooManyPaths`] (with `commodity = usize::MAX`,
 /// rewritten by the instance builder) once more than `cap` paths have
-/// been found.
+/// been found, and [`NetError::Inconsistent`] if the incidence would
+/// leave the `u32` offset range. On error both buffers are truncated
+/// back to their lengths on entry.
 pub fn enumerate_simple_paths(
     graph: &Graph,
     source: NodeId,
     sink: NodeId,
     cap: usize,
-) -> Result<Vec<Path>, NetError> {
-    let mut paths = Vec::new();
+    offsets: &mut Vec<u32>,
+    ids: &mut Vec<EdgeId>,
+) -> Result<usize, NetError> {
+    debug_assert_eq!(
+        offsets.last().map(|&o| o as usize),
+        Some(ids.len()),
+        "offsets must end at the rows already in ids"
+    );
+    let (rows_before, ids_before) = (offsets.len(), ids.len());
     let mut edge_stack: Vec<EdgeId> = Vec::new();
     let mut on_stack = vec![false; graph.node_count()];
     on_stack[source.index()] = true;
@@ -136,6 +186,7 @@ pub fn enumerate_simple_paths(
     // Iterative DFS over out-edge indices to avoid recursion limits on
     // deep graphs: frame = (node, next out-edge index to try).
     let mut frames: Vec<(NodeId, usize)> = vec![(source, 0)];
+    let mut found = 0;
     while let Some((node, idx)) = frames.last_mut() {
         let node = *node;
         let out = graph.out_edges(node);
@@ -152,14 +203,24 @@ pub fn enumerate_simple_paths(
             continue;
         }
         if head == sink {
-            let mut edges = edge_stack.clone();
-            edges.push(e);
-            paths.push(Path { edges });
-            if paths.len() > cap {
-                return Err(NetError::TooManyPaths {
+            found += 1;
+            ids.extend_from_slice(&edge_stack);
+            ids.push(e);
+            let end = if found > cap {
+                Err(NetError::TooManyPaths {
                     commodity: usize::MAX,
                     cap,
-                });
+                })
+            } else {
+                row_end(ids)
+            };
+            match end {
+                Ok(end) => offsets.push(end),
+                Err(err) => {
+                    offsets.truncate(rows_before);
+                    ids.truncate(ids_before);
+                    return Err(err);
+                }
             }
             continue;
         }
@@ -170,12 +231,24 @@ pub fn enumerate_simple_paths(
     // The source frame pops an extra sentinel from edge_stack; guard by
     // construction: we only push edges when descending, and pop exactly
     // when a frame is exhausted, so the stacks stay balanced.
-    Ok(paths)
+    Ok(found)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paths [`enumerate_simple_paths`] writes, decoded from its
+    /// rows.
+    fn enumerate(g: &Graph, s: NodeId, t: NodeId, cap: usize) -> Result<Vec<Path>, NetError> {
+        let (mut offsets, mut ids) = (vec![0], Vec::new());
+        let found = enumerate_simple_paths(g, s, t, cap, &mut offsets, &mut ids)?;
+        assert_eq!(offsets.len(), found + 1);
+        Ok(offsets
+            .windows(2)
+            .map(|w| Path::new(g, ids[w[0] as usize..w[1] as usize].to_vec()).unwrap())
+            .collect())
+    }
 
     fn diamond() -> (Graph, NodeId, NodeId) {
         // s -> a -> t, s -> b -> t, plus a -> b chord.
@@ -195,7 +268,7 @@ mod tests {
     #[test]
     fn enumerates_all_simple_paths_in_diamond() {
         let (g, s, t) = diamond();
-        let paths = enumerate_simple_paths(&g, s, t, 100).unwrap();
+        let paths = enumerate(&g, s, t, 100).unwrap();
         // s-a-t, s-a-b-t, s-b-t
         assert_eq!(paths.len(), 3);
         for p in &paths {
@@ -212,7 +285,7 @@ mod tests {
         g.add_edge(s, t);
         g.add_edge(s, t);
         g.add_edge(s, t);
-        let paths = enumerate_simple_paths(&g, s, t, 100).unwrap();
+        let paths = enumerate(&g, s, t, 100).unwrap();
         assert_eq!(paths.len(), 3);
         assert!(paths.iter().all(|p| p.len() == 1));
     }
@@ -226,7 +299,7 @@ mod tests {
         g.add_edge(s, a);
         g.add_edge(a, s); // back edge forming a cycle
         g.add_edge(a, t);
-        let paths = enumerate_simple_paths(&g, s, t, 100).unwrap();
+        let paths = enumerate(&g, s, t, 100).unwrap();
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 2);
     }
@@ -234,7 +307,7 @@ mod tests {
     #[test]
     fn cap_is_enforced() {
         let (g, s, t) = diamond();
-        let err = enumerate_simple_paths(&g, s, t, 2).unwrap_err();
+        let err = enumerate(&g, s, t, 2).unwrap_err();
         assert!(matches!(err, NetError::TooManyPaths { cap: 2, .. }));
     }
 
@@ -244,7 +317,7 @@ mod tests {
         let s = g.add_node();
         let t = g.add_node();
         g.add_node(); // isolated
-        let paths = enumerate_simple_paths(&g, s, t, 100).unwrap();
+        let paths = enumerate(&g, s, t, 100).unwrap();
         assert!(paths.is_empty());
     }
 
@@ -259,6 +332,33 @@ mod tests {
         assert_eq!(p.source(&g), s);
         assert_eq!(p.sink(&g), t);
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn enumeration_appends_rows_and_truncates_on_error() {
+        let (g, s, t) = diamond();
+        let (mut offsets, mut ids) = (vec![0, 1], vec![EdgeId::from_index(0)]);
+        assert_eq!(
+            enumerate_simple_paths(&g, s, t, 100, &mut offsets, &mut ids).unwrap(),
+            3
+        );
+        // s-a-t, s-a-b-t, s-b-t after the existing one-edge row.
+        assert_eq!(offsets, vec![0, 1, 3, 6, 8]);
+        assert_eq!(ids[1..3], [EdgeId::from_index(0), EdgeId::from_index(2)]);
+        let (before_offsets, before_ids) = (offsets.clone(), ids.clone());
+        let err = enumerate_simple_paths(&g, s, t, 2, &mut offsets, &mut ids).unwrap_err();
+        assert!(matches!(err, NetError::TooManyPaths { cap: 2, .. }));
+        assert_eq!((offsets, ids), (before_offsets, before_ids));
+    }
+
+    #[test]
+    fn path_new_rejects_edges_outside_the_graph() {
+        let (g, s, _) = diamond();
+        let e_sa = g.out_edges(s)[0];
+        assert!(matches!(
+            Path::new(&g, vec![e_sa, EdgeId::from_index(5)]),
+            Err(NetError::Inconsistent(_))
+        ));
     }
 
     #[test]
@@ -280,7 +380,7 @@ mod tests {
     #[test]
     fn contains_reports_edge_membership() {
         let (g, s, t) = diamond();
-        let paths = enumerate_simple_paths(&g, s, t, 100).unwrap();
+        let paths = enumerate(&g, s, t, 100).unwrap();
         // The diamond has no 1-edge path; every path has ≥ 2 edges.
         assert!(paths.iter().all(|p| p.len() >= 2));
         // s-b-t uses edge 1 (s->b) and edge 3 (b->t) but not edge 0 (s->a).
@@ -299,7 +399,7 @@ mod tests {
         for w in nodes.windows(2) {
             g.add_edge(w[0], w[1]);
         }
-        let paths = enumerate_simple_paths(&g, nodes[0], nodes[10_000], 10).unwrap();
+        let paths = enumerate(&g, nodes[0], nodes[10_000], 10).unwrap();
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 10_000);
     }

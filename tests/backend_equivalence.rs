@@ -22,18 +22,7 @@ use proptest::prelude::*;
 use wardrop::core::edge_engine::{run_edge, run_edge_scenario, PathSeeding};
 use wardrop::core::engine::run_scenario_audited;
 use wardrop::net::edge_flow::EdgeInstance;
-use wardrop::net::path::Path;
 use wardrop::prelude::*;
-
-/// The full enumerated path set of `inst`, split per commodity — the
-/// explicit seeding under which the backends must agree exactly.
-fn full_seed(inst: &Instance) -> PathSeeding {
-    PathSeeding::Explicit(
-        (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-            .collect(),
-    )
-}
 
 /// Largest absolute difference between two recorded flows' edge flows.
 fn max_edge_flow_diff(inst: &Instance, a: &FlowVec, b: &FlowVec) -> f64 {
@@ -87,7 +76,7 @@ proptest! {
         let policies = stock_policy_zoo(inst.latency_upper_bound().max(1e-6));
         prop_assert_eq!(policies.len(), 12);
         let config = SimulationConfig::new(0.5, 4).with_flows();
-        let seeding = full_seed(&inst);
+        let seeding = PathSeeding::full(&inst);
         for policy in &policies {
             let reference = run_scenario(&inst, policy.as_ref(), &f0, &config, &scenario)
                 .expect("enumerated scenario run");
@@ -168,10 +157,10 @@ fn mismatched_explicit_seed_is_rejected() {
     let config = SimulationConfig::new(0.5, 2);
     // Swap the two commodities' path lists: every path now has the
     // wrong endpoints for its slot.
-    let swapped: Vec<Vec<Path>> = (0..inst.num_commodities())
-        .rev()
-        .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-        .collect();
+    let PathSeeding::Explicit(mut swapped) = PathSeeding::full(&inst) else {
+        unreachable!("full seeding is explicit")
+    };
+    swapped.reverse();
     let err = run_edge(&edge, &policy, &config, &PathSeeding::Explicit(swapped)).unwrap_err();
     assert!(matches!(err, NetError::Inconsistent(_)), "got {err:?}");
 }
@@ -289,7 +278,7 @@ fn full_seed_matches_enumerated_under_every_knob() {
     ] {
         let edge = EdgeInstance::from_instance(&inst).expect("builders emit DAGs");
         let f0 = FlowVec::uniform(&inst);
-        let seeding = full_seed(&inst);
+        let seeding = PathSeeding::full(&inst);
         let mut scenario = Scenario::new("shock").with_event(Event::at(
             2,
             "degrade",
@@ -471,7 +460,8 @@ fn latency_event_refresh_matches_full_evaluation() {
         let config = SimulationConfig::new(0.5, 100);
         let mut sim = Simulation::new(inst, &policy, &FlowVec::uniform(inst), &config);
         let edge = EdgeInstance::from_instance(inst).expect("builders emit DAGs");
-        let mut implicit = EdgeSimulation::new(&edge, &policy, &config, &full_seed(inst)).unwrap();
+        let mut implicit =
+            EdgeSimulation::new(&edge, &policy, &config, &PathSeeding::full(inst)).unwrap();
         for (k, actions) in events.iter().enumerate() {
             sim.step().unwrap();
             implicit.step().unwrap();

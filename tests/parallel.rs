@@ -139,11 +139,7 @@ fn edge_backend_is_lane_transparent() {
 
     let inst = builders::grid_network(8, 8, 7);
     let edge = EdgeInstance::from_instance(&inst).expect("grids are DAGs");
-    let seeding = PathSeeding::Explicit(
-        (0..inst.num_commodities())
-            .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-            .collect(),
-    );
+    let seeding = PathSeeding::full(&inst);
     let policy = uniform_linear(&inst);
     let scenario = Scenario::new("shock").with_event(Event::at(
         1,

@@ -79,8 +79,8 @@ fn oracle_dag(family: u32, seed: u64, k: usize) -> EdgeInstance {
 fn brute_force_argmin(inst: &Instance, i: usize, weights: &[f64]) -> (f64, usize) {
     inst.commodity_paths(i)
         .map(|p| {
-            let w: f64 = inst.paths()[p]
-                .edges()
+            let w: f64 = inst
+                .path_edges(PathId::from_index(p))
                 .iter()
                 .map(|e| weights[e.index()])
                 .sum();
@@ -177,9 +177,8 @@ proptest! {
         for _ in 0..draws {
             sampler.sample_into(g, &mut rng, &mut out);
             let id = inst
-                .paths()
-                .iter()
-                .position(|p| p.edges() == out.as_slice())
+                .path_ids()
+                .position(|p| inst.path_edges(p) == out.as_slice())
                 .expect("sampled path must be in the enumerated arena");
             counts[id] += 1;
         }
@@ -213,9 +212,8 @@ fn seeded_sample_sequence_is_pinned() {
     for _ in 0..EXPECTED.len() {
         sampler.sample_into(g, &mut rng, &mut out);
         got.push(
-            inst.paths()
-                .iter()
-                .position(|p| p.edges() == out.as_slice())
+            inst.path_ids()
+                .position(|p| inst.path_edges(p) == out.as_slice())
                 .expect("sampled path must be enumerable"),
         );
     }

@@ -557,11 +557,7 @@ proptest! {
         // The implicit-path backend, fully seeded so nothing is left to
         // discover.
         let edge = EdgeInstance::from_instance(&inst).expect("layered networks are DAGs");
-        let seeding = PathSeeding::Explicit(
-            (0..inst.num_commodities())
-                .map(|i| inst.paths()[inst.commodity_paths(i)].to_vec())
-                .collect(),
-        );
+        let seeding = PathSeeding::full(&inst);
         for lanes in [1usize, 2, 4] {
             let config = base.clone().with_parallelism(Parallelism::Threads(lanes));
             let plain = run_edge(&edge, &policy, &config, &seeding).expect("edge run");
