@@ -964,10 +964,9 @@ impl<'a, D: Dynamics + ?Sized> Simulation<'a, D> {
     /// demand, refreshes the evaluation in place, and opens a new
     /// epoch.
     ///
-    /// A latency-only event costs what it touches: the flow has not
-    /// moved, so instead of a full evaluation the workspace
-    /// re-evaluates only the changed edges, re-sums `Φ` from its cached
-    /// per-edge terms and re-gathers only the paths through those edges
+    /// A latency-only event skips the scatter: the flow has not moved,
+    /// so the workspace re-evaluates only the changed edges, re-sums
+    /// `Φ` from its cached per-edge terms and runs the path gather
     /// ([`EvalWorkspace::refresh_latencies`], bit-identical to the full
     /// evaluation). Demand events evaluate in full.
     ///
@@ -975,7 +974,7 @@ impl<'a, D: Dynamics + ?Sized> Simulation<'a, D> {
     /// that owns heap data (polynomial, piecewise-linear, or a scaled
     /// M/M/1), which the action has to clone or build; affine and
     /// constant latencies and demand changes allocate nothing. Path
-    /// sets and CSR incidences are immutable under events, so the
+    /// sets and the CSR incidence are immutable under events, so the
     /// phases between events stay allocation-free too. Verified by
     /// `crates/core/tests/zero_alloc.rs`.
     ///

@@ -208,24 +208,20 @@ impl EvalWorkspace {
         self.avg_latency = avg_latency;
     }
 
-    /// [`EvalWorkspace::evaluate`], optionally fanned across a
-    /// [`WorkerPool`] — **bit-identical** to the serial evaluation for
-    /// every lane count.
+    /// [`EvalWorkspace::evaluate`] with its path stages optionally
+    /// fanned across a [`WorkerPool`] — **bit-identical** to the serial
+    /// evaluation for every lane count.
     ///
-    /// The parallel decomposition preserves every float-operation
+    /// The edge stage is the serial [`EvalWorkspace::evaluate_edges`]
+    /// in every mode: the path-order scatter over the path rows, then
+    /// the edge sweep. The pooled stages preserve every float-operation
     /// sequence of the serial pass:
     ///
-    /// * **edge flows** switch from the path-order scatter to a
-    ///   per-edge gather over the transposed CSR. For a fixed edge the
-    ///   contributions still arrive in ascending path order (the
-    ///   transposed rows are sorted), and the skipped `f_P = 0` terms
-    ///   of the scatter are bitwise no-ops on a non-negative
-    ///   accumulator, so every `f_e` is bit-identical;
     /// * **path latencies** are per-path independent sums;
     /// * the **per-commodity min/avg** pass runs per commodity (the
     ///   serial order within each block), and the cross-commodity
-    ///   folds — potential and overall average latency — stay on the
-    ///   dispatching thread in commodity order.
+    ///   fold — the overall average latency — stays on the dispatching
+    ///   thread in commodity order.
     ///
     /// With `pool = None`, or on instances too small to amortise a
     /// dispatch, this is exactly the serial [`EvalWorkspace::evaluate`].
@@ -239,46 +235,8 @@ impl EvalWorkspace {
         flow: &FlowVec,
         pool: Option<&WorkerPool>,
     ) {
-        self.evaluate_edges_with(instance, flow, pool);
+        self.evaluate_edges(instance, flow);
         self.finish_paths_with(instance, flow, pool);
-    }
-
-    /// [`EvalWorkspace::evaluate_edges`], optionally pooled (see
-    /// [`EvalWorkspace::evaluate_with`] for the determinism argument).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` or the workspace does not match `instance`.
-    pub fn evaluate_edges_with(
-        &mut self,
-        instance: &Instance,
-        flow: &FlowVec,
-        pool: Option<&WorkerPool>,
-    ) {
-        let pool = match pool {
-            Some(p)
-                if p.lanes() > 1 && instance.incidence_count() >= PARALLEL_EVAL_MIN_INCIDENCES =>
-            {
-                p
-            }
-            _ => return self.evaluate_edges(instance, flow),
-        };
-        let values = flow.values();
-        assert_eq!(values.len(), instance.num_paths());
-        assert_eq!(self.edge_flows.len(), instance.num_edges());
-
-        // Per-edge gather (ascending path order within each edge row —
-        // see the determinism note above).
-        let edge_paths = instance.edge_path_rows();
-        pool.fill_with(&mut self.edge_flows, |e| {
-            let mut fe = 0.0;
-            for p in edge_paths.row(e) {
-                fe += values[p.index()];
-            }
-            fe
-        });
-
-        self.edge_sweep(instance);
     }
 
     /// [`EvalWorkspace::finish_paths`], optionally pooled (see
@@ -357,11 +315,9 @@ impl EvalWorkspace {
     /// The edge flows have not moved, so nothing is scattered and only
     /// the listed edges' latencies and potential terms are recomputed;
     /// `Φ` is re-summed from the cached per-edge terms in edge order.
-    /// Only the paths in the listed edges' transposed-CSR rows are
-    /// re-gathered (each sum in path order), and the per-commodity
-    /// minima and averages and the overall average latency are
-    /// re-folded in block order from the cached path latencies. Cost:
-    /// `O(|E| + Σ_{P ∋ e} |P| + |P|)` additions and no latency
+    /// The path stage is then [`EvalWorkspace::finish_paths`], the one
+    /// gather a full evaluation runs, so the result equals it bit for
+    /// bit. Cost: `O(|E| + nnz + |P|)` additions and no latency
     /// evaluation beyond the listed edges.
     ///
     /// # Panics
@@ -373,52 +329,18 @@ impl EvalWorkspace {
         flow: &FlowVec,
         edges: impl IntoIterator<Item = EdgeId>,
     ) {
-        let values = flow.values();
-        assert_eq!(values.len(), instance.num_paths());
-        assert_eq!(self.path_latencies.len(), instance.num_paths());
         assert_eq!(self.edge_flows.len(), instance.num_edges());
-        // Each listed edge's row is re-gathered after that edge is
-        // updated, so a path through several listed edges ends up
-        // summed over all their new latencies.
-        let (path_edges, edge_paths) = (instance.path_edge_rows(), instance.edge_path_rows());
         for e in edges {
             let (lat, fe) = (instance.latency(e), self.edge_flows[e.index()]);
             self.edge_latencies[e.index()] = lat.eval(fe);
             self.edge_potentials[e.index()] = lat.primitive(fe);
-            for &p in edge_paths.row(e.index()) {
-                let mut lp = 0.0;
-                for e in path_edges.row(p.index()) {
-                    lp += self.edge_latencies[e.index()];
-                }
-                self.path_latencies[p.index()] = lp;
-            }
         }
         let mut potential = 0.0;
         for &term in &self.edge_potentials {
             potential += term;
         }
         self.potential = potential;
-        self.fold_commodities(instance, values);
-    }
-
-    /// Re-folds the per-commodity minima and averages and the overall
-    /// average latency from the cached path latencies and `values`, in
-    /// block order.
-    fn fold_commodities(&mut self, instance: &Instance, values: &[f64]) {
-        let mut avg_latency = 0.0;
-        for (i, c) in instance.commodities().iter().enumerate() {
-            let mut min_i = f64::INFINITY;
-            let mut acc = 0.0;
-            for p in instance.commodity_paths(i) {
-                let lp = self.path_latencies[p];
-                min_i = min_i.min(lp);
-                acc += values[p] * lp;
-            }
-            self.commodity_min[i] = min_i;
-            self.commodity_avg[i] = acc / c.demand;
-            avg_latency += acc;
-        }
-        self.avg_latency = avg_latency;
+        self.finish_paths(instance, flow);
     }
 
     /// Extends an evaluation of `flow` to the zero-flow path `p` that

@@ -10,6 +10,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::NetError;
+
 /// Identifier of a node in a [`Graph`].
 ///
 /// Node ids are dense indices assigned in insertion order.
@@ -234,6 +236,39 @@ impl Graph {
             .iter()
             .enumerate()
             .map(|(i, e)| (EdgeId(i as u32), *e))
+    }
+
+    /// Checks that the adjacency lists are the ones the edge list
+    /// builds: every edge's endpoints are nodes, and node `v`'s
+    /// outgoing (incoming) list holds exactly the edges leaving
+    /// (entering) `v`, in insertion order. [`Graph::add_edge`] keeps
+    /// this by construction; a decoded graph carries all three lists
+    /// verbatim and needs the check.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Inconsistent`] naming the mismatch.
+    pub fn check_consistent(&self) -> Result<(), NetError> {
+        let n = self.out.len();
+        if let Some((e, _)) = self
+            .edges()
+            .find(|(_, edge)| edge.from.index() >= n || edge.to.index() >= n)
+        {
+            return Err(NetError::Inconsistent(format!(
+                "edge {e} has an endpoint outside the graph's {n} nodes"
+            )));
+        }
+        let mut rebuilt = Graph::with_capacity(n, self.edges.len());
+        rebuilt.add_nodes(n);
+        for edge in &self.edges {
+            rebuilt.add_edge(edge.from, edge.to);
+        }
+        if rebuilt != *self {
+            return Err(NetError::Inconsistent(
+                "adjacency lists disagree with the edge list".into(),
+            ));
+        }
+        Ok(())
     }
 }
 

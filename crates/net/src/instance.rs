@@ -3,8 +3,8 @@
 //! An [`Instance`] bundles a graph, per-edge latency functions and
 //! commodities, together with the path arena used by the path
 //! formulation of the model. The arena is a flat path→edge CSR
-//! incidence (with its transpose); no per-path vector is kept.
-//! Construction validates every standing
+//! incidence, the only incidence kept: no per-path vector and no
+//! edge→path transpose. Construction validates every standing
 //! assumption of the paper and precomputes the constants that appear in
 //! its theorems:
 //!
@@ -142,28 +142,28 @@ pub(crate) fn refreshed_slope_bound(
     }
 }
 
-/// A borrowed CSR incidence of an [`Instance`]: row `r` is
-/// `ids[offsets[r] .. offsets[r + 1]]`.
+/// The borrowed path→edge CSR incidence of an [`Instance`]: row `p`
+/// is `ids[offsets[p] .. offsets[p + 1]]`, path `p`'s edges in path
+/// order.
 ///
-/// Take it once per call ([`Instance::path_edge_rows`],
-/// [`Instance::edge_path_rows`]) and read rows from it in the loop: it
-/// holds plain slices, so the loop does not go through the shared
-/// arena's `Arc` for every row.
+/// Take it once per call ([`Instance::path_edge_rows`]) and read rows
+/// from it in the loop: it holds plain slices, so the loop does not go
+/// through the shared arena's `Arc` for every row.
 #[derive(Debug, Clone, Copy)]
-pub struct CsrRows<'a, T> {
+pub struct CsrRows<'a> {
     offsets: &'a [u32],
-    ids: &'a [T],
+    ids: &'a [EdgeId],
 }
 
-impl<'a, T> CsrRows<'a, T> {
-    /// Row `r`.
+impl<'a> CsrRows<'a> {
+    /// Row `p`.
     ///
     /// # Panics
     ///
-    /// Panics if `r` is out of range.
+    /// Panics if `p` is out of range.
     #[inline]
-    pub fn row(&self, r: usize) -> &'a [T] {
-        &self.ids[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    pub fn row(&self, p: usize) -> &'a [EdgeId] {
+        &self.ids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
     }
 }
 
@@ -171,15 +171,18 @@ impl<'a, T> CsrRows<'a, T> {
 ///
 /// # Path arena
 ///
-/// The path→edge CSR incidence is the only store of the paths: path
-/// `p`'s edges are row `p` of it ([`Instance::path_edges`],
-/// [`Instance::path_edge_rows`]). No per-path vector is kept; a
-/// [`Path`] is only the validated input of
-/// [`Instance::with_explicit_paths`] and [`Instance::push_path`].
+/// The path→edge CSR incidence is the only store of the paths and the
+/// only incidence: path `p`'s edges are row `p` of it
+/// ([`Instance::path_edges`], [`Instance::path_edge_rows`]). No
+/// per-path vector and no edge→path transpose is kept: a latency
+/// event finds the paths through its edge by scanning the rows
+/// ([`Instance::set_latency`]). A [`Path`] is
+/// only the validated input of [`Instance::with_explicit_paths`] and
+/// [`Instance::push_path`].
 ///
 /// # Clone cost
 ///
-/// The graph and the path structure (both CSR incidences and the
+/// The graph and the path structure (the CSR incidence and the
 /// path→commodity map) sit behind `Arc`s that clones share,
 /// copy-on-write. A clone copies only what is owned per instance: the
 /// latency functions, the commodities, the per-commodity path ranges
@@ -203,8 +206,8 @@ impl<'a, T> CsrRows<'a, T> {
 /// assert_eq!(inst.max_path_len(), 1);
 /// ```
 ///
-/// Equality compares every field, the cached CSR incidences and bounds
-/// included.
+/// Equality compares every field, the CSR incidence and the cached
+/// bounds included.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Instance {
     graph: Arc<Graph>,
@@ -221,11 +224,6 @@ pub struct Instance {
     path_edge_offsets: Arc<Vec<u32>>,
     /// Flat edge ids of the CSR path→edge incidence.
     path_edge_ids: Arc<Vec<EdgeId>>,
-    /// Transposed CSR edge→path incidence: edge `e` is used by
-    /// `edge_path_ids[edge_path_offsets[e] .. edge_path_offsets[e+1]]`.
-    edge_path_offsets: Arc<Vec<u32>>,
-    /// Flat path ids of the CSR edge→path incidence.
-    edge_path_ids: Arc<Vec<PathId>>,
     /// Owning commodity per path (O(1) `commodity_of_path`).
     path_commodity: Arc<Vec<u32>>,
     /// Per-path at-capacity latency `Σ_{e ∈ P} ℓ_e(1)` — the cached
@@ -418,7 +416,7 @@ impl Instance {
         Ok(())
     }
 
-    /// Assembles the transposed incidence and the cached constants over
+    /// Assembles the path→commodity map and the cached constants over
     /// an already-validated path→edge CSR (commodity-contiguous rows
     /// with half-open `path_ranges`). Shared by the enumerating and the
     /// explicit-path constructors so both produce bit-identical
@@ -436,27 +434,6 @@ impl Instance {
             ids: &path_edge_ids,
         };
         let num_paths = path_edge_offsets.len() - 1;
-        let num_edges = graph.edge_count();
-        let mut edge_degree = vec![0u32; num_edges];
-        for e in &path_edge_ids {
-            edge_degree[e.index()] += 1;
-        }
-        let mut edge_path_offsets = Vec::with_capacity(num_edges + 1);
-        edge_path_offsets.push(0u32);
-        let mut acc = 0u32;
-        for d in &edge_degree {
-            acc += d;
-            edge_path_offsets.push(acc);
-        }
-        let mut edge_path_ids = vec![PathId(0); path_edge_ids.len()];
-        let mut cursor: Vec<u32> = edge_path_offsets[..num_edges].to_vec();
-        for p in 0..num_paths {
-            for e in rows.row(p) {
-                let slot = cursor[e.index()];
-                edge_path_ids[slot as usize] = PathId(p as u32);
-                cursor[e.index()] = slot + 1;
-            }
-        }
         let mut path_commodity = vec![0u32; num_paths];
         for i in 0..commodities.len() {
             for slot in &mut path_commodity[path_ranges[i]..path_ranges[i + 1]] {
@@ -481,8 +458,6 @@ impl Instance {
             path_ranges,
             path_edge_offsets: Arc::new(path_edge_offsets),
             path_edge_ids: Arc::new(path_edge_ids),
-            edge_path_offsets: Arc::new(edge_path_offsets),
-            edge_path_ids: Arc::new(edge_path_ids),
             path_commodity: Arc::new(path_commodity),
             path_cap_latencies,
             max_path_len,
@@ -590,35 +565,13 @@ impl Instance {
         self.path_edge_rows().row(p.index())
     }
 
-    /// The paths using edge `e`, from the transposed CSR incidence
-    /// (ascending path index). A loop over many edges should read rows
-    /// from [`Instance::edge_path_rows`] instead, taken once before it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    #[inline]
-    pub fn edge_paths(&self, e: EdgeId) -> &[PathId] {
-        self.edge_path_rows().row(e.index())
-    }
-
     /// The path→edge CSR incidence: row `p` is
     /// [`Instance::path_edges`]`(p)`.
     #[inline]
-    pub fn path_edge_rows(&self) -> CsrRows<'_, EdgeId> {
+    pub fn path_edge_rows(&self) -> CsrRows<'_> {
         CsrRows {
             offsets: &self.path_edge_offsets,
             ids: &self.path_edge_ids,
-        }
-    }
-
-    /// The edge→path CSR incidence: row `e` is
-    /// [`Instance::edge_paths`]`(e)`.
-    #[inline]
-    pub fn edge_path_rows(&self) -> CsrRows<'_, PathId> {
-        CsrRows {
-            offsets: &self.edge_path_offsets,
-            ids: &self.edge_path_ids,
         }
     }
 
@@ -630,13 +583,11 @@ impl Instance {
         Arc::ptr_eq(&self.graph, &other.graph)
             && Arc::ptr_eq(&self.path_edge_offsets, &other.path_edge_offsets)
             && Arc::ptr_eq(&self.path_edge_ids, &other.path_edge_ids)
-            && Arc::ptr_eq(&self.edge_path_offsets, &other.edge_path_offsets)
-            && Arc::ptr_eq(&self.edge_path_ids, &other.edge_path_ids)
             && Arc::ptr_eq(&self.path_commodity, &other.path_commodity)
     }
 
     /// Total number of (path, edge) incidences — the `nnz` of the CSR
-    /// maps and the per-evaluation work of the fused pipeline.
+    /// incidence and the per-evaluation work of the fused pipeline.
     #[inline]
     pub fn incidence_count(&self) -> usize {
         self.path_edge_ids.len()
@@ -666,14 +617,15 @@ impl Instance {
     /// checkpoint could otherwise smuggle in inconsistent CSR arenas
     /// or cached constants.
     ///
-    /// The base data is re-validated exactly as at construction. Every
-    /// decoded path→edge row must be a simple path of the graph
-    /// between its commodity's endpoints (the checks of [`Path::new`]),
-    /// the derived integer structure (path ranges, the transposed
-    /// incidence, the path→commodity map, `D`) is rebuilt from those
-    /// rows and compared **exactly**, and the cached float bounds (`β`,
-    /// `ℓmax`, per-path at-capacity sums) are compared with a relative
-    /// tolerance. The serialized values stay authoritative — this
+    /// The graph's adjacency lists must be the ones its edge list
+    /// builds ([`Graph::check_consistent`]), and the base data is
+    /// re-validated exactly as at construction. Every decoded
+    /// path→edge row must be a simple path of the graph between its
+    /// commodity's endpoints (the checks of [`Path::new`]), the derived
+    /// integer structure (path ranges, the path→commodity map, `D`) is
+    /// rebuilt from those rows and compared **exactly**, and the cached
+    /// float bounds (`β`, `ℓmax`, per-path at-capacity sums) are
+    /// compared with a relative tolerance. The serialized values stay authoritative — this
     /// check only rejects corruption, it never rewrites state (which
     /// would break bit-identical restores).
     ///
@@ -683,6 +635,7 @@ impl Instance {
     /// [`Instance::with_path_cap`]) naming the first violated
     /// invariant.
     pub fn check_consistent(&self) -> Result<(), NetError> {
+        self.graph.check_consistent()?;
         Self::validate_base(&self.graph, &self.latencies, &self.commodities)?;
         let offsets = self.path_edge_offsets.as_slice();
         if offsets.first() != Some(&0)
@@ -720,9 +673,7 @@ impl Instance {
             self.path_edge_ids.to_vec(),
             self.path_ranges.clone(),
         );
-        if rebuilt.edge_path_offsets != self.edge_path_offsets
-            || rebuilt.edge_path_ids != self.edge_path_ids
-            || rebuilt.path_commodity != self.path_commodity
+        if rebuilt.path_commodity != self.path_commodity
             || rebuilt.max_path_len != self.max_path_len
         {
             return Err(NetError::Inconsistent(
@@ -751,15 +702,15 @@ impl Instance {
     /// its restricted instance one discovered column at a time.
     ///
     /// The path takes global index `commodity_paths(i).end` (returned);
-    /// the paths of later commodities shift up by one. Both CSR
-    /// incidences, the path→commodity map, the per-path at-capacity
-    /// sums, `D` and `ℓmax` are updated in their own buffers, which grow
-    /// by amortised doubling, so the cost is `O(nnz + |E| + |P|)` element
-    /// moves and, amortised, `O(1)` allocations. Only the path's edges
-    /// are kept, as a new CSR row; the `Path` itself is dropped. If the
-    /// arena is shared
-    /// with a clone, it is copied first (once: the copy is then owned)
-    /// and the clone is left unchanged. The result equals, field for
+    /// the paths of later commodities shift up by one. The path's edges
+    /// are spliced in as a new CSR row (the `Path` itself is dropped),
+    /// and the path→commodity map, the per-path at-capacity sums, `D`
+    /// and `ℓmax` are updated in their own buffers, which grow by
+    /// amortised doubling. The cost is one `O(nnz + |P|)` move of the
+    /// rows and offsets behind the new row (none when `i` is the last
+    /// commodity) and, amortised, `O(1)` allocations. If the arena is
+    /// shared with a clone, it is copied first (once: the copy is then
+    /// owned) and the clone is left unchanged. The result equals, field for
     /// field, what [`Instance::with_explicit_paths`] builds over the
     /// same per-commodity path lists.
     ///
@@ -785,21 +736,6 @@ impl Instance {
             ));
         }
         let at = self.path_ranges[i + 1];
-        let shifts = at < self.num_paths();
-        let edge_path_ids = Arc::make_mut(&mut self.edge_path_ids);
-        if shifts {
-            for p in edge_path_ids.iter_mut() {
-                if p.index() >= at {
-                    p.0 += 1;
-                }
-            }
-        }
-        Self::insert_into_edge_rows(
-            Arc::make_mut(&mut self.edge_path_offsets).as_mut_slice(),
-            edge_path_ids,
-            at,
-            path.edges(),
-        );
         let path_edge_offsets = Arc::make_mut(&mut self.path_edge_offsets);
         let lo = path_edge_offsets[at];
         Arc::make_mut(&mut self.path_edge_ids)
@@ -819,58 +755,20 @@ impl Instance {
         Ok(PathId::from_index(at))
     }
 
-    /// Inserts path id `at` into the transposed rows (`offsets`, `ids`)
-    /// of `edges`, whose stored ids at or above `at` have already moved
-    /// up by one. Rows stay ascending. The edges are visited by
-    /// descending index, so a single backward sweep moves every stored
-    /// id at most once.
-    fn insert_into_edge_rows(
-        offsets: &mut [u32],
-        ids: &mut Vec<PathId>,
-        at: usize,
-        edges: &[EdgeId],
-    ) {
-        let old_len = ids.len();
-        ids.resize(old_len + edges.len(), PathId(0));
-        let mut moved_from = old_len;
-        let mut upper = offsets.len() - 1;
-        for k in (1..=edges.len()).rev() {
-            // The k-th smallest edge of the path (its edges are
-            // distinct: paths are simple).
-            let e = edges
-                .iter()
-                .map(|e| e.index())
-                .filter(|&x| x < upper)
-                .max()
-                .expect("a simple path's edges are distinct");
-            let (lo, hi) = (offsets[e] as usize, offsets[e + 1] as usize);
-            let slot = lo + ids[lo..hi].partition_point(|p| p.index() < at);
-            // Everything from `slot` on sits behind the k inserts at or
-            // before it.
-            ids.copy_within(slot..moved_from, slot + k);
-            ids[slot + k - 1] = PathId(at as u32);
-            for off in &mut offsets[e + 1..=upper] {
-                *off += k as u32;
-            }
-            moved_from = slot;
-            upper = e;
-        }
-    }
-
     /// Replaces the latency function of edge `e`, incrementally
     /// refreshing the cached invariants.
     ///
-    /// The graph and the CSR incidences are untouched (latency
-    /// changes never alter the path sets) and stay shared with any
-    /// clone, so the update costs
-    /// `O(Σ_{P ∋ e} |P|)`: the per-path at-capacity sums of the paths
-    /// using `e` are re-summed in path order, and `β` and `ℓmax` are
-    /// exact incremental maxima that re-fold over all edges (paths)
-    /// only when the edge (a path) that may have carried the maximum
-    /// got smaller. Every cached value equals a fresh build's bit for
-    /// bit. No heap allocation is performed, which keeps scenario
-    /// reconfiguration compatible with the engine's zero-allocation
-    /// steady state.
+    /// The graph and the CSR incidence are untouched (latency changes
+    /// never alter the path sets) and stay shared with any clone. The
+    /// paths using `e` are found by one scan of the path rows (`O(nnz)`
+    /// comparisons), and only their per-path at-capacity sums are
+    /// re-summed, in path order; `β` and `ℓmax` are exact incremental
+    /// maxima that re-fold over all edges (paths) only when the edge (a
+    /// path) that may have carried the maximum got smaller. An event
+    /// that leaves `ℓ_e(1)` unchanged skips the scan. Every cached value
+    /// equals a fresh build's bit for bit. No heap allocation is
+    /// performed, which keeps scenario reconfiguration compatible with
+    /// the engine's zero-allocation steady state.
     ///
     /// # Errors
     ///
@@ -887,19 +785,19 @@ impl Instance {
         }
         // ℓmax: re-sum the cached at-capacity latency of every path
         // using e (so each stays bit-identical to a fresh build).
-        let path_edges = CsrRows {
+        let rows = CsrRows {
             offsets: &self.path_edge_offsets,
             ids: &self.path_edge_ids,
         };
-        let users = CsrRows {
-            offsets: &self.edge_path_offsets,
-            ids: &self.edge_path_ids,
-        };
         let mut raised = self.latency_upper_bound;
         let mut refold = false;
-        for p in users.row(e.index()) {
-            let cap = cap_latency(&self.latencies, path_edges.row(p.index()));
-            let was = std::mem::replace(&mut self.path_cap_latencies[p.index()], cap);
+        for (p, slot) in self.path_cap_latencies.iter_mut().enumerate() {
+            let row = rows.row(p);
+            if !row.contains(&e) {
+                continue;
+            }
+            let cap = cap_latency(&self.latencies, row);
+            let was = std::mem::replace(slot, cap);
             refold |= cap < was && was == self.latency_upper_bound;
             if cap > raised {
                 raised = cap;
@@ -943,7 +841,7 @@ impl Instance {
     /// commodity the only admissible demand is `1.0` (the normalisation
     /// leaves nothing to trade against).
     ///
-    /// Path sets, CSR incidences and latency invariants are untouched;
+    /// Path sets, the CSR incidence and latency invariants are untouched;
     /// existing flows become infeasible and must be rescaled by the
     /// caller (the engine's `apply_event` does this per commodity).
     ///
@@ -1151,20 +1049,6 @@ mod tests {
         }
         assert_eq!(inst.num_paths(), 3);
         assert_eq!(inst.incidence_count(), 7);
-        // Transposed map: e ∈ path_edges(p) ⇔ p ∈ edge_paths(e).
-        for e in 0..inst.num_edges() {
-            let eid = crate::graph::EdgeId::from_index(e);
-            let users = inst.edge_paths(eid);
-            for pid in inst.path_ids() {
-                assert_eq!(
-                    inst.path_edges(pid).contains(&eid),
-                    users.contains(&pid),
-                    "edge {e} path {pid}"
-                );
-            }
-            // Ascending path order within each edge row.
-            assert!(users.windows(2).all(|w| w[0] < w[1]));
-        }
     }
 
     #[test]
@@ -1211,6 +1095,32 @@ mod tests {
         assert_eq!(inst.slope_bound(), fresh.slope_bound());
         assert_eq!(inst.latency_upper_bound(), fresh.latency_upper_bound());
         assert_eq!(inst.slope_bound(), 1.0);
+    }
+
+    #[test]
+    fn latency_events_keep_per_path_caches_exact() {
+        // Every edge ×4, then every edge ×¼: each event re-sums the
+        // at-capacity latency of exactly the paths through its edge,
+        // found by scanning the rows.
+        let mut inst = crate::builders::grid_network(4, 4, 7);
+        for factor in [4.0, 0.25] {
+            for e in 0..inst.num_edges() {
+                let e = EdgeId::from_index(e);
+                inst.scale_latency(e, factor).unwrap();
+                let fresh = rebuild(&inst);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&inst.path_cap_latencies),
+                    bits(&fresh.path_cap_latencies),
+                    "×{factor} on {e}"
+                );
+                assert_eq!(
+                    inst.latency_upper_bound().to_bits(),
+                    fresh.latency_upper_bound().to_bits()
+                );
+                assert_eq!(inst.slope_bound().to_bits(), fresh.slope_bound().to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1398,10 +1308,6 @@ mod tests {
             assert_eq!(rebuilt.path_edges(p), inst.path_edges(p));
             assert_eq!(rebuilt.commodity_of_path(p), inst.commodity_of_path(p));
         }
-        for e in 0..inst.num_edges() {
-            let eid = EdgeId::from_index(e);
-            assert_eq!(rebuilt.edge_paths(eid), inst.edge_paths(eid));
-        }
     }
 
     #[test]
@@ -1506,7 +1412,6 @@ mod tests {
         let clone = inst.clone();
         assert!(clone.shares_paths_with(&inst));
         assert!(Arc::ptr_eq(&clone.path_edge_ids, &inst.path_edge_ids));
-        assert!(Arc::ptr_eq(&clone.edge_path_ids, &inst.edge_path_ids));
         assert_eq!(Arc::strong_count(&inst.path_edge_ids), 2);
         // The per-instance state is owned, not shared.
         assert_ne!(

@@ -7,7 +7,7 @@
 //! ([`Instance::set_demand`], [`Instance::set_latency`],
 //! [`Instance::scale_latency`]), which refresh the cached theorem
 //! constants (`β`, `ℓmax`) incrementally and never touch the path sets
-//! or CSR incidences — so the engine's pre-allocated buffers stay
+//! or the CSR incidence — so the engine's pre-allocated buffers stay
 //! valid across events.
 //!
 //! Two small schedule languages, [`DemandSchedule`] and

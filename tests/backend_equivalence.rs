@@ -428,8 +428,8 @@ fn latency_events(num_edges: usize) -> Vec<Vec<EventAction>> {
 }
 
 /// A latency-only event refreshes the evaluation in place instead of
-/// re-running it: the edge sweep plus a re-gather of the paths through
-/// the changed edges. After every such event — on an enumerated grid
+/// re-running it: the changed edges, the potential re-sum and the path
+/// gather, without a scatter. After every such event — on an enumerated grid
 /// large enough for the pooled evaluation (CI re-runs this suite at
 /// `WARDROP_THREADS=2`), on a network with a bridge every path uses and
 /// a dead-end edge none does, and on the oracle-seeded implicit
@@ -447,11 +447,15 @@ fn latency_event_refresh_matches_full_evaluation() {
             factor,
         }]);
     }
-    assert!(bridged.edge_paths(EdgeId::from_index(5)).is_empty());
-    assert_eq!(
-        bridged.edge_paths(EdgeId::from_index(0)).len(),
-        bridged.num_paths()
-    );
+    let uses = |inst: &Instance, e: usize| {
+        let e = EdgeId::from_index(e);
+        let rows = inst.path_edge_rows();
+        (0..inst.num_paths())
+            .filter(|&p| rows.row(p).contains(&e))
+            .count()
+    };
+    assert_eq!(uses(&bridged, 5), 0);
+    assert_eq!(uses(&bridged, 0), bridged.num_paths());
     for (label, inst, events) in [
         ("grid_8x8", &grid, latency_events(grid.num_edges())),
         ("bridged", &bridged, bridge_events),
@@ -490,11 +494,10 @@ fn latency_event_refresh_matches_full_evaluation() {
             Some(actions) => actions.clone(),
             None => {
                 let unused = (0..edge.num_edges())
-                    .map(EdgeId::from_index)
-                    .find(|&e| sim.restricted().edge_paths(e).is_empty())
+                    .find(|&e| uses(sim.restricted(), e) == 0)
                     .expect("oracle seeding leaves edges unused");
                 vec![EventAction::ScaleLatency {
-                    edge: unused,
+                    edge: EdgeId::from_index(unused),
                     factor: 4.0,
                 }]
             }
