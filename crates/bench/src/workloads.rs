@@ -10,6 +10,7 @@ use wardrop_core::engine::{Simulation, SimulationConfig};
 use wardrop_core::policy::uniform_linear;
 use wardrop_net::builders;
 use wardrop_net::edge_flow::EdgeInstance;
+use wardrop_net::eval::EvalWorkspace;
 use wardrop_net::flow::FlowVec;
 use wardrop_net::instance::Instance;
 use wardrop_net::scenario::EventAction;
@@ -157,10 +158,9 @@ pub fn implicit_path_workloads() -> Vec<EdgeEngineWorkload> {
 
 /// Measures scenario-reconfiguration cost on a workload: the mean
 /// nanoseconds of one [`Simulation::apply_event`] (instance mutation +
-/// incremental invariant refresh + in-place re-evaluation), averaged
-/// over `events` alternating degrade/repair latency events and taken
-/// best-of-3 so one scheduler hiccup cannot masquerade as a
-/// regression in the committed report.
+/// in-place re-evaluation), averaged over `events` alternating
+/// degrade/repair latency events and taken best-of-3 so one scheduler
+/// hiccup cannot masquerade as a regression in the committed report.
 pub fn time_apply_event(w: &EngineWorkload, events: usize) -> f64 {
     let policy = uniform_linear(&w.instance);
     let mut sim = Simulation::new(&w.instance, &policy, &w.f0, &w.config);
@@ -170,6 +170,19 @@ pub fn time_apply_event(w: &EngineWorkload, events: usize) -> f64 {
             let factor = if k % 2 == 0 { 1.25 } else { 0.8 };
             sim.apply_event(&[EventAction::ScaleLatency { edge, factor }])
                 .expect("scale events apply cleanly");
+        }
+    }) / events as f64
+}
+
+/// The yardstick of [`time_apply_event`]: the mean nanoseconds of one
+/// full [`EvalWorkspace::evaluate`] of the flow those events
+/// re-evaluate (latency events never move it from `w.f0`), timed the
+/// same way.
+pub fn time_full_evaluate(w: &EngineWorkload, events: usize) -> f64 {
+    let mut ws = EvalWorkspace::new(&w.instance);
+    time_best_of(3, || {
+        for _ in 0..events {
+            ws.evaluate(&w.instance, &w.f0);
         }
     }) / events as f64
 }
@@ -194,6 +207,7 @@ mod tests {
         let w = &small_engine_workloads()[0];
         let ns = time_apply_event(w, 8);
         assert!(ns > 0.0);
+        assert!(time_full_evaluate(w, 8) > 0.0);
     }
 
     #[test]

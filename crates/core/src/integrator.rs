@@ -62,9 +62,10 @@ impl Default for Integrator {
 
 /// Reusable integration buffers, so stepping a phase allocates nothing.
 ///
-/// All vectors are in the rates' layout order. Buffers grow on first
-/// use and are retained across phases; a scratch can be shared between
-/// integrator variants (each uses a subset).
+/// All vectors are in the rates' layout order. Each phase sizes only
+/// the buffers its scheme reads (Euler: `state`, `next`;
+/// uniformization: also `acc`; RK4: all four), and buffers are retained
+/// across phases; a scratch can be shared between integrator variants.
 #[derive(Debug, Clone, Default)]
 pub struct IntegratorScratch {
     /// The state: `f` (Euler, RK4) or the current `M^k f`
@@ -85,19 +86,27 @@ impl IntegratorScratch {
         Self::default()
     }
 
-    /// A scratch with all buffers pre-sized for `n` paths, so even the
-    /// first phase allocates nothing.
+    /// A scratch with the buffers of the default scheme
+    /// (uniformization) pre-sized for `n` paths, so its first phase
+    /// allocates nothing. The RK4 stage buffer grows on the first RK4
+    /// phase.
     pub fn for_len(n: usize) -> Self {
         let mut s = Self::default();
-        s.resize(n);
+        s.resize(n, &Integrator::default());
         s
     }
 
-    fn resize(&mut self, n: usize) {
+    /// Sizes the buffers `scheme` reads to `n`; the others are left
+    /// alone, so a scheme never zeroes memory it does not use.
+    fn resize(&mut self, n: usize, scheme: &Integrator) {
         self.state.resize(n, 0.0);
         self.next.resize(n, 0.0);
-        self.acc.resize(n, 0.0);
-        self.tmp.resize(n, 0.0);
+        if !matches!(scheme, Integrator::Euler { .. }) {
+            self.acc.resize(n, 0.0);
+        }
+        if matches!(scheme, Integrator::Rk4 { .. }) {
+            self.tmp.resize(n, 0.0);
+        }
     }
 }
 
@@ -155,7 +164,7 @@ impl Integrator {
         if tau == 0.0 {
             return;
         }
-        scratch.resize(f.len());
+        scratch.resize(f.len(), self);
         match *self {
             Integrator::Euler { dt } => {
                 assert!(dt > 0.0, "Euler step must be positive");
@@ -704,6 +713,23 @@ mod tests {
             integ.advance_with(&rates, &mut again, 1.5, &mut scratch);
             assert_eq!(fresh, again, "{}", integ.name());
         }
+    }
+
+    #[test]
+    fn scratch_sizes_only_the_buffers_its_scheme_reads() {
+        let (_inst, rates, f0) = single_rate_setup(0.4);
+        let n = f0.len();
+        let lens = |s: &IntegratorScratch| [s.state.len(), s.next.len(), s.acc.len(), s.tmp.len()];
+        let mut scratch = IntegratorScratch::for_len(n);
+        assert_eq!(lens(&scratch), [n, n, n, 0]);
+        let mut f = f0.clone();
+        Integrator::default().advance_with(&rates, &mut f, 1.5, &mut scratch);
+        assert_eq!(lens(&scratch), [n, n, n, 0]);
+        Integrator::Rk4 { dt: 0.05 }.advance_with(&rates, &mut f, 1.5, &mut scratch);
+        assert_eq!(lens(&scratch), [n, n, n, n]);
+        let mut euler = IntegratorScratch::new();
+        Integrator::Euler { dt: 0.05 }.advance_with(&rates, &mut f, 1.5, &mut euler);
+        assert_eq!(lens(&euler), [n, n, 0, 0]);
     }
 
     #[test]

@@ -328,7 +328,7 @@ fn snapshot_header_is_pinned() {
     let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
     assert_eq!(
         std::str::from_utf8(&bytes[..newline]).unwrap(),
-        "WARDROP-SNAPSHOT v1 len=1820 fnv=325f2b8c9e03c852"
+        "WARDROP-SNAPSHOT v1 len=1724 fnv=56b561570507ec33"
     );
 }
 
@@ -341,14 +341,14 @@ fn instance_serialised_form_is_pinned() {
         (
             "multi_commodity_grid(3, 3, 5)",
             builders::multi_commodity_grid(3, 3, 5),
-            1562,
-            0x6b63_0983_0fd8_c8c0,
+            1323,
+            0x31a6_01fb_b963_889a,
         ),
         (
             "grid_network(4, 4, 8)",
             builders::grid_network(4, 4, 8),
-            3136,
-            0xd767_a327_81a6_63f0,
+            2662,
+            0xd058_1be6_f5ad_6e2b,
         ),
     ] {
         let json = serde_json::to_string(&instance).unwrap();

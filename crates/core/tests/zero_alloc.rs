@@ -151,9 +151,8 @@ fn epoch_steady_state_is_allocation_free() {
 }
 
 /// A latency event on an affine instance allocates nothing on either
-/// backend: the actions are checked and applied in place, the bounds
-/// refresh incrementally, and the evaluation is refreshed inside its
-/// own buffers.
+/// backend: the actions are checked and applied in place, and the
+/// evaluation is refreshed inside its own buffers.
 fn latency_event_is_allocation_free() {
     use wardrop_core::edge_engine::{EdgeSimulation, PathSeeding};
     use wardrop_net::scenario::EventAction;

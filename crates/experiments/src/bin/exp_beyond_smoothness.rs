@@ -110,9 +110,10 @@ fn main() {
         // Both policies run with the *replicator's* safe period so the
         // comparison is per-phase-fair; the relative-slack policy has no
         // safe period of its own in the paper's framework.
-        let alpha = 1.0 / inst.latency_upper_bound();
+        let lmax = inst.latency_upper_bound();
+        let alpha = 1.0 / lmax;
         let t = safe_update_period(inst, alpha).min(1.0);
-        let delta = delta_frac * inst.latency_upper_bound();
+        let delta = delta_frac * lmax;
         let config = SimulationConfig::new(t, horizon).with_deltas(vec![delta]);
         let f0 = FlowVec::uniform(inst);
 

@@ -67,7 +67,8 @@ fn main() {
     for (name, inst, f0) in &networks {
         println!("\nnetwork: {name}");
         let phi_star = optimal_potential(inst);
-        let alpha = 1.0 / inst.latency_upper_bound();
+        let lmax = inst.latency_upper_bound();
+        let alpha = 1.0 / lmax;
         let t = safe_update_period(inst, alpha);
         let phases = 3000;
         let mut table = Table::new(vec![
@@ -79,7 +80,7 @@ fn main() {
             "bad phases (δ=0.1ℓmax, ε=0.05)",
         ]);
 
-        let delta = 0.1 * inst.latency_upper_bound();
+        let delta = 0.1 * lmax;
         let dynamics: Vec<(String, Box<dyn Dynamics>)> = vec![
             ("best-response".into(), Box::new(BestResponse::new())),
             (

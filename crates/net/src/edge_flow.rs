@@ -28,8 +28,7 @@ use crate::commodity::Commodity;
 use crate::error::NetError;
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::instance::{
-    check_edge, check_scale_factor, refreshed_slope_bound, set_demand_in, Instance,
-    DEMAND_TOLERANCE,
+    check_edge, check_scale_factor, set_demand_in, slope_bound, Instance, DEMAND_TOLERANCE,
 };
 use crate::latency::Latency;
 use crate::scenario::EventAction;
@@ -61,7 +60,6 @@ pub struct EdgeInstance {
     /// A topological order of the (acyclic) graph, cached for the
     /// longest-path bound and reusable by DAG consumers.
     topo: Vec<NodeId>,
-    slope_bound: f64,
 }
 
 impl EdgeInstance {
@@ -108,10 +106,6 @@ impl EdgeInstance {
         let topo = topological_order(&graph).ok_or_else(|| {
             NetError::Inconsistent("implicit-path instances require an acyclic graph".into())
         })?;
-        let slope_bound = latencies
-            .iter()
-            .map(Latency::slope_bound)
-            .fold(0.0, f64::max);
         // The longest-path DP doubles as the reachability check.
         Self::longest_path_bound(&graph, &topo, &latencies, &commodities)?;
         Ok(EdgeInstance {
@@ -119,7 +113,6 @@ impl EdgeInstance {
             latencies,
             commodities,
             topo,
-            slope_bound,
         })
     }
 
@@ -228,10 +221,11 @@ impl EdgeInstance {
         &self.topo
     }
 
-    /// Maximum latency slope `β = max_e sup ℓ'_e`.
-    #[inline]
+    /// Maximum latency slope `β = max_e sup ℓ'_e`, folded over the
+    /// latency functions on every call in `O(E)` — the expression
+    /// [`Instance::slope_bound`] evaluates.
     pub fn slope_bound(&self) -> f64 {
-        self.slope_bound
+        slope_bound(&self.latencies)
     }
 
     /// Upper bound `ℓmax` on any (implicit) path latency of any
@@ -286,11 +280,9 @@ impl EdgeInstance {
             .sum()
     }
 
-    /// Replaces the latency function of edge `e`, refreshing the slope
-    /// bound as an exact incremental maximum. Same contract as
-    /// [`Instance::set_latency`]; `ℓmax` is computed on read (see
-    /// [`EdgeInstance::latency_upper_bound`]), so nothing else is
-    /// cached.
+    /// Replaces the latency function of edge `e`. Same contract as
+    /// [`Instance::set_latency`]: `β` and `ℓmax` are computed on read,
+    /// so nothing else is refreshed.
     ///
     /// # Errors
     ///
@@ -300,8 +292,7 @@ impl EdgeInstance {
     pub fn set_latency(&mut self, e: EdgeId, latency: Latency) -> Result<(), NetError> {
         check_edge(e, self.graph.edge_count())?;
         latency.validate()?;
-        let old = std::mem::replace(&mut self.latencies[e.index()], latency);
-        self.slope_bound = refreshed_slope_bound(self.slope_bound, &old, &self.latencies, e);
+        self.latencies[e.index()] = latency;
         Ok(())
     }
 
@@ -468,47 +459,6 @@ mod tests {
             .set_latency(EdgeId::from_index(0), Latency::Constant(-1.0))
             .is_err());
         assert_eq!(edge.latencies(), inst.latencies());
-    }
-
-    #[test]
-    fn bounds_after_events_equal_a_fresh_build() {
-        // Shrink the edge carrying β (the incremental maximum's re-fold
-        // branch) and an edge of the longest at-capacity path, then
-        // raise them again: β and ℓmax must equal a fresh build's bit
-        // for bit after every event.
-        let mut edge = builders::grid_edge_network(4, 4, 7);
-        let steepest = (0..edge.num_edges())
-            .map(EdgeId::from_index)
-            .max_by(|a, b| {
-                let slope = |e: &EdgeId| edge.latency(*e).slope_bound();
-                slope(a).total_cmp(&slope(b))
-            })
-            .unwrap();
-        let first = EdgeId::from_index(0);
-        for (e, factor) in [
-            (steepest, 0.25),
-            (first, 0.25),
-            (steepest, 4.0),
-            (first, 8.0),
-            (steepest, 0.5),
-        ] {
-            let beta = edge.slope_bound();
-            edge.scale_latency(e, factor).unwrap();
-            let fresh = EdgeInstance::new(
-                edge.graph().clone(),
-                edge.latencies().to_vec(),
-                edge.commodities().to_vec(),
-            )
-            .unwrap();
-            assert_eq!(edge.slope_bound().to_bits(), fresh.slope_bound().to_bits());
-            assert_eq!(
-                edge.latency_upper_bound().to_bits(),
-                fresh.latency_upper_bound().to_bits()
-            );
-            if factor < 1.0 && e == steepest {
-                assert!(edge.slope_bound() < beta, "the β re-fold branch ran");
-            }
-        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! degradations and repairs — pinned to bulletin-board phase indices.
 //! Each event mutates the instance through the controlled setters
 //! ([`Instance::set_demand`], [`Instance::set_latency`],
-//! [`Instance::scale_latency`]), which refresh the cached theorem
-//! constants (`β`, `ℓmax`) incrementally and never touch the path sets
-//! or the CSR incidence — so the engine's pre-allocated buffers stay
-//! valid across events.
+//! [`Instance::scale_latency`]), which replace only the changed demand
+//! or latency function and never touch the path sets or the CSR
+//! incidence — so the engine's pre-allocated buffers stay valid across
+//! events. The theorem constants (`β`, `ℓmax`) are computed when read.
 //!
 //! Two small schedule languages, [`DemandSchedule`] and
 //! [`LatencyModulation`], compile recurring patterns (steps, pulses)

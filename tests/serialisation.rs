@@ -256,10 +256,12 @@ fn legacy_config_with_retired_key_decodes() {
 const LEGACY_INSTANCE: &str = r##"{"graph":{"edges":[{"from":0,"to":1},{"from":0,"to":3},{"from":1,"to":2},{"from":1,"to":4},{"from":2,"to":5},{"from":3,"to":4},{"from":3,"to":6},{"from":4,"to":5},{"from":4,"to":7},{"from":5,"to":8},{"from":6,"to":7},{"from":7,"to":8}],"out":[[0,1],[2,3],[4],[5,6],[7,8],[9],[10],[11],[]],"r#in":[[],[0],[2],[1],[3,5],[4,7],[6],[8,10],[9,11]]},"latencies":[{"Affine":{"a":0.7005764821796896,"b":0.3508761065264059}},{"Affine":{"a":0.8396274618764198,"b":0.9829879525134416}},{"Affine":{"a":0.9908602788330683,"b":0.8854965448706188}},{"Affine":{"a":0.060752079492816136,"b":0.19399221031853045}},{"Affine":{"a":0.40370652610252655,"b":0.2366344966007084}},{"Affine":{"a":0.5413675985383839,"b":0.7586723863410524}},{"Affine":{"a":0.938965598715603,"b":0.8927656856104648}},{"Affine":{"a":0.4514196527314658,"b":0.6047912037245319}},{"Affine":{"a":0.2566979885922164,"b":0.5196323507791876}},{"Affine":{"a":0.1564999085479981,"b":0.22033150169726667}},{"Affine":{"a":0.17142643255164425,"b":0.686220657742045}},{"Affine":{"a":0.6674532064492308,"b":0.35296885402926603}}],"commodities":[{"source":0,"sink":8,"demand":1.0}],"paths":[{"edges":[0,2,4,9]},{"edges":[0,3,7,9]},{"edges":[0,3,8,11]},{"edges":[1,5,7,9]},{"edges":[1,5,8,11]},{"edges":[1,6,10,11]}],"path_ranges":[0,6],"path_edge_offsets":[0,4,8,12,16,20,24],"path_edge_ids":[0,2,4,9,0,3,7,9,0,3,8,11,1,5,7,9,1,5,8,11,1,6,10,11],"edge_path_offsets":[0,3,6,7,9,10,12,13,15,17,20,21,24],"edge_path_ids":[0,1,2,3,4,5,0,1,2,0,3,4,5,1,3,2,4,0,1,3,5,2,4,5],"path_commodity":[0,0,0,0,0,0],"path_cap_latencies":[3.9449818453582823,2.739239145218704,3.1029492783673427,4.55569766597056,4.919407799119199,5.532415849488115],"max_path_len":4,"slope_bound":0.9829879525134416,"latency_upper_bound":5.532415849488115}"##;
 
 /// The instance encoding lost its duplicate `"paths"` member, whose
-/// rows the CSR keys carry too, and its transposed `"edge_path_offsets"`
-/// and `"edge_path_ids"` members, which follow from them: an older
-/// encoding still decodes, is consistent, equals a fresh build and
-/// re-encodes without those three members.
+/// rows the CSR keys carry too, its transposed `"edge_path_offsets"`
+/// and `"edge_path_ids"` members, which follow from them, and its
+/// cached `"path_cap_latencies"`, `"max_path_len"`, `"slope_bound"` and
+/// `"latency_upper_bound"`, which follow from the rows and latencies:
+/// an older encoding still decodes, is consistent, equals a fresh build
+/// and re-encodes without those seven members.
 #[test]
 fn legacy_instance_with_paths_member_decodes() {
     let decoded: Instance = serde_json::from_str(LEGACY_INSTANCE).expect("legacy instance");
@@ -271,7 +273,8 @@ fn legacy_instance_with_paths_member_decodes() {
     let expected = [
         &LEGACY_INSTANCE[..at("paths")],
         &LEGACY_INSTANCE[at("path_ranges")..at("edge_path_offsets")],
-        &LEGACY_INSTANCE[at("path_commodity")..],
+        &LEGACY_INSTANCE[at("path_commodity")..at("path_cap_latencies") - 1],
+        "}",
     ]
     .concat();
     assert_eq!(serde_json::to_string(&decoded).unwrap(), expected);
@@ -289,6 +292,32 @@ fn decoded_row_that_is_not_a_path_is_rejected() {
         Err(NetError::Inconsistent(msg)) => assert!(msg.contains("consecutive"), "{msg}"),
         other => panic!("expected a typed inconsistency, got {other:?}"),
     }
+}
+
+/// `braess()` in the encoding that still cached the derived bounds,
+/// with every cached member contradicting the latencies and rows: the
+/// per-path at-capacity sums, `D`, `β` and `ℓmax` are all wrong.
+const STALE_BOUNDS_INSTANCE: &str = r##"{"graph":{"edges":[{"from":0,"to":1},{"from":0,"to":2},{"from":1,"to":3},{"from":2,"to":3},{"from":1,"to":2}],"out":[[0,1],[2,4],[3],[]],"r#in":[[],[0],[1,4],[2,3]]},"latencies":[{"Affine":{"a":0.0,"b":1.0}},{"Constant":1.0},{"Constant":1.0},{"Affine":{"a":0.0,"b":1.0}},{"Constant":0.0}],"commodities":[{"source":0,"sink":3,"demand":1.0}],"path_ranges":[0,3],"path_edge_offsets":[0,2,5,7],"path_edge_ids":[0,2,0,4,3,1,3],"path_commodity":[0,0,0],"path_cap_latencies":[3.5,0.25,7.0],"max_path_len":5,"slope_bound":4.0,"latency_upper_bound":7.0}"##;
+
+/// A decoded instance's bounds come from its rows and latencies, never
+/// from cached members an older encoding carries.
+#[test]
+fn cached_bounds_in_an_older_encoding_are_ignored() {
+    let decoded: Instance = serde_json::from_str(STALE_BOUNDS_INSTANCE).expect("older instance");
+    decoded
+        .check_consistent()
+        .expect("the cached members are not read");
+    let fresh = builders::braess();
+    assert_eq!(decoded, fresh);
+    assert_eq!(decoded.max_path_len(), fresh.max_path_len());
+    assert_eq!(
+        decoded.slope_bound().to_bits(),
+        fresh.slope_bound().to_bits()
+    );
+    assert_eq!(
+        decoded.latency_upper_bound().to_bits(),
+        fresh.latency_upper_bound().to_bits()
+    );
 }
 
 /// `braess()` whose node 0 lists edge 17, which does not exist, as its
