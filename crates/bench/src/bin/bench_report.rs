@@ -1,7 +1,7 @@
 //! Machine-readable engine-performance report.
 //!
 //! Runs every section of [`SECTIONS`] and writes `BENCH_engine.json`
-//! (schema `wardrop-bench/engine/v13`): `schema`, `mode`, then one key
+//! (schema `wardrop-bench/engine/v12`): `schema`, `mode`, then one key
 //! per section in table order. Each section measures its rows and
 //! checks its own gates next to the measurement — bit-identity across
 //! lanes and the free zero-fault seam on both backends. The binary
@@ -32,8 +32,8 @@ use serde::Serialize;
 use serde_json::Value;
 use wardrop_bench::{
     frontier_engine_workloads, grid_12x12_frontier_workload, implicit_path_workloads,
-    large_engine_workloads, small_engine_workloads, time_apply_event, time_full_evaluate,
-    EdgeEngineWorkload, EngineWorkload,
+    large_engine_workloads, small_engine_workloads, time_apply_event, EdgeEngineWorkload,
+    EngineWorkload,
 };
 use wardrop_core::edge_engine::PathSeeding;
 use wardrop_core::engine::{self, Parallelism};
@@ -44,7 +44,7 @@ use wardrop_net::builders;
 use wardrop_net::flow::FlowVec;
 
 /// The schema version this binary emits.
-const SCHEMA_VERSION: u32 = 13;
+const SCHEMA_VERSION: u32 = 12;
 
 /// One report section: its JSON key and the function that measures
 /// its rows and checks its gates.
@@ -145,9 +145,6 @@ struct ReconfigReport {
     edges: usize,
     events: usize,
     ns_per_apply_event: f64,
-    /// One full `EvalWorkspace::evaluate` of the same flow, timed the
-    /// same way: the cost a latency event must stay under.
-    ns_per_full_evaluate: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -208,8 +205,7 @@ struct EnsembleScalingReport {
 /// Scenario-reconfiguration cost per row: the mean of one
 /// `apply_event` (latency mutation and in-place re-evaluation) over 64
 /// events on the small workloads and 16 on the large ones (smoke keeps
-/// only `grid_8x8` of those), next to a full evaluation of the same
-/// flow timed the same way.
+/// only `grid_8x8` of those).
 fn reconfig(smoke: bool) -> Measured {
     let small = small_engine_workloads().into_iter().map(|w| (w, 64));
     let large = large_engine_workloads()
@@ -220,13 +216,11 @@ fn reconfig(smoke: bool) -> Measured {
         .chain(large)
         .map(|(w, events)| {
             let ns = time_apply_event(&w, events);
-            let full = time_full_evaluate(&w, events);
             println!(
-                "{:<28} |P|={:<6} apply_event {:>12.0} ns  full evaluate {:>12.0} ns",
+                "{:<28} |P|={:<6} apply_event {:>12.0} ns",
                 w.name,
                 w.instance.num_paths(),
-                ns,
-                full
+                ns
             );
             ReconfigReport {
                 name: w.name.to_string(),
@@ -234,32 +228,10 @@ fn reconfig(smoke: bool) -> Measured {
                 edges: w.instance.num_edges(),
                 events,
                 ns_per_apply_event: ns,
-                ns_per_full_evaluate: full,
             }
         })
         .collect();
-    Measured::new(&rows, reconfig_gates)
-}
-
-/// A latency event refreshes the evaluation without a scatter, so on
-/// `grid_8x8` (the large row smoke keeps, where edge 0 lies on half of
-/// the 3,432 paths) it must cost less than a full evaluation.
-fn reconfig_gates(rows: &[ReconfigReport]) -> Vec<String> {
-    let mut failures = Vec::new();
-    match rows.iter().find(|r| r.name == "grid_8x8") {
-        None => failures.push("no grid_8x8 row".to_string()),
-        Some(r) => check(
-            &mut failures,
-            r.ns_per_apply_event < r.ns_per_full_evaluate,
-            || {
-                format!(
-                    "grid_8x8: apply_event {:.0} ns is not below a full evaluation's {:.0} ns",
-                    r.ns_per_apply_event, r.ns_per_full_evaluate
-                )
-            },
-        ),
-    }
-    failures
+    Measured::new(&rows, |_| Vec::new())
 }
 
 /// Smoke trims the sweep to 1/2 workers on the two medium workloads;
@@ -620,22 +592,6 @@ mod tests {
                 section.name
             );
         }
-    }
-
-    #[test]
-    fn reconfig_gate_needs_a_grid_8x8_event_below_a_full_evaluation() {
-        let row = |name: &str, event: f64| ReconfigReport {
-            name: name.to_string(),
-            paths: 3432,
-            edges: 112,
-            events: 16,
-            ns_per_apply_event: event,
-            ns_per_full_evaluate: 100.0,
-        };
-        assert!(reconfig_gates(&[row("braess", 1.0), row("grid_8x8", 40.0)]).is_empty());
-        assert!(!reconfig_gates(&[row("braess", 1.0)]).is_empty());
-        assert!(!reconfig_gates(&[row("grid_8x8", 100.0)]).is_empty());
-        assert!(!reconfig_gates(&[row("grid_8x8", f64::NAN)]).is_empty());
     }
 
     fn scaling_row(name: &str, threads: usize, bit_identical: bool) -> ThreadScalingReport {

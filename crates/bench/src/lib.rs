@@ -20,5 +20,5 @@ pub mod workloads;
 pub use workloads::{
     frontier_engine_workloads, grid_12x12_frontier_workload, implicit_path_workloads,
     large_engine_workloads, small_engine_workloads, time_apply_event, time_best_of,
-    time_full_evaluate, EdgeEngineWorkload, EngineWorkload,
+    EdgeEngineWorkload, EngineWorkload,
 };

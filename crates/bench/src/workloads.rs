@@ -10,7 +10,6 @@ use wardrop_core::engine::{Simulation, SimulationConfig};
 use wardrop_core::policy::uniform_linear;
 use wardrop_net::builders;
 use wardrop_net::edge_flow::EdgeInstance;
-use wardrop_net::eval::EvalWorkspace;
 use wardrop_net::flow::FlowVec;
 use wardrop_net::instance::Instance;
 use wardrop_net::scenario::EventAction;
@@ -174,19 +173,6 @@ pub fn time_apply_event(w: &EngineWorkload, events: usize) -> f64 {
     }) / events as f64
 }
 
-/// The yardstick of [`time_apply_event`]: the mean nanoseconds of one
-/// full [`EvalWorkspace::evaluate`] of the flow those events
-/// re-evaluate (latency events never move it from `w.f0`), timed the
-/// same way.
-pub fn time_full_evaluate(w: &EngineWorkload, events: usize) -> f64 {
-    let mut ws = EvalWorkspace::new(&w.instance);
-    time_best_of(3, || {
-        for _ in 0..events {
-            ws.evaluate(&w.instance, &w.f0);
-        }
-    }) / events as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +193,6 @@ mod tests {
         let w = &small_engine_workloads()[0];
         let ns = time_apply_event(w, 8);
         assert!(ns > 0.0);
-        assert!(time_full_evaluate(w, 8) > 0.0);
     }
 
     #[test]

@@ -462,6 +462,46 @@ mod tests {
     }
 
     #[test]
+    fn bounds_after_events_equal_a_fresh_build() {
+        // Shrink the edge carrying β and an edge of the longest
+        // at-capacity path, then raise them again: β and ℓmax must
+        // equal a fresh build's bit for bit after every event.
+        let mut edge = builders::grid_edge_network(4, 4, 7);
+        let steepest = (0..edge.num_edges())
+            .map(EdgeId::from_index)
+            .max_by(|a, b| {
+                let slope = |e: &EdgeId| edge.latency(*e).slope_bound();
+                slope(a).total_cmp(&slope(b))
+            })
+            .unwrap();
+        let first = EdgeId::from_index(0);
+        for (e, factor) in [
+            (steepest, 0.25),
+            (first, 0.25),
+            (steepest, 4.0),
+            (first, 8.0),
+            (steepest, 0.5),
+        ] {
+            let beta = edge.slope_bound();
+            edge.scale_latency(e, factor).unwrap();
+            let fresh = EdgeInstance::new(
+                edge.graph().clone(),
+                edge.latencies().to_vec(),
+                edge.commodities().to_vec(),
+            )
+            .unwrap();
+            assert_eq!(edge.slope_bound().to_bits(), fresh.slope_bound().to_bits());
+            assert_eq!(
+                edge.latency_upper_bound().to_bits(),
+                fresh.latency_upper_bound().to_bits()
+            );
+            if factor < 1.0 && e == steepest {
+                assert!(edge.slope_bound() < beta, "the β carrier shrank");
+            }
+        }
+    }
+
+    #[test]
     fn grid_14x14_is_constructible() {
         // The acceptance-frontier topology: trivially cheap without a
         // path arena, unreachable for the enumerated constructor.

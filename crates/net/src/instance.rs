@@ -1030,6 +1030,11 @@ mod tests {
                     fresh_edge.slope_bound().to_bits(),
                     "×{factor} on {e}"
                 );
+                assert_eq!(
+                    edge.latency_upper_bound().to_bits(),
+                    fresh_edge.latency_upper_bound().to_bits(),
+                    "×{factor} on {e}"
+                );
                 assert_eq!(edge.max_path_len(), fresh_edge.max_path_len());
             }
         }
@@ -1143,6 +1148,71 @@ mod tests {
         for p in inst.path_ids() {
             assert_eq!(inst.path_edges(p), fresh.path_edges(p));
         }
+
+        // Shrink the edge carrying β and an edge of the path carrying
+        // ℓmax, so both maxima move to another carrier, then raise them
+        // again; every step must equal a fresh build field for field,
+        // both bounds included.
+        let mut inst = crate::builders::multi_commodity_grid(3, 3, 11);
+        let steepest = |inst: &Instance| {
+            (0..inst.num_edges())
+                .map(EdgeId::from_index)
+                .max_by(|a, b| {
+                    let slope = |e: &EdgeId| inst.latency(*e).slope_bound();
+                    slope(a).total_cmp(&slope(b))
+                })
+                .unwrap()
+        };
+        let on_longest = |inst: &Instance| {
+            let longest = inst
+                .path_ids()
+                .max_by(|a, b| {
+                    let cap = |p: &PathId| cap_latency(inst.latencies(), inst.path_edges(*p));
+                    cap(a).total_cmp(&cap(b))
+                })
+                .unwrap();
+            inst.path_edges(longest)[0]
+        };
+        for (carrier, factor) in [
+            ("β", 0.25),
+            ("ℓmax", 0.25),
+            ("β", 4.0),
+            ("ℓmax", 0.5),
+            ("ℓmax", 8.0),
+            ("β", 0.5),
+        ] {
+            let e = if carrier == "β" {
+                steepest(&inst)
+            } else {
+                on_longest(&inst)
+            };
+            let (beta, lmax) = (inst.slope_bound(), inst.latency_upper_bound());
+            inst.scale_latency(e, factor).unwrap();
+            let fresh = rebuild(&inst);
+            assert_eq!(inst, fresh, "×{factor} on the {carrier} carrier");
+            assert_eq!(inst.slope_bound().to_bits(), fresh.slope_bound().to_bits());
+            assert_eq!(
+                inst.latency_upper_bound().to_bits(),
+                fresh.latency_upper_bound().to_bits()
+            );
+            if factor < 1.0 {
+                let shrunk = if carrier == "β" {
+                    inst.slope_bound() < beta
+                } else {
+                    inst.latency_upper_bound() < lmax
+                };
+                assert!(shrunk, "the {carrier} maximum moved");
+            }
+        }
+        let steepest = steepest(&inst);
+        inst.set_latency(steepest, Latency::Constant(0.5)).unwrap();
+        let fresh = rebuild(&inst);
+        assert_eq!(inst, fresh);
+        assert_eq!(inst.slope_bound().to_bits(), fresh.slope_bound().to_bits());
+        assert_eq!(
+            inst.latency_upper_bound().to_bits(),
+            fresh.latency_upper_bound().to_bits()
+        );
     }
 
     #[test]
